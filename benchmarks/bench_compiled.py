@@ -98,7 +98,7 @@ def _compiled_provider() -> str:
     for name in AUTO_PREFERENCE:
         if available.get(name):
             return name
-    pytest.skip("no compiled kernel provider available (numba or cffi)")
+    pytest.skip("no compiled kernel provider available (cffi)")
 
 
 def _mixed_loads(topo, n_replicas):

@@ -6,8 +6,9 @@ Two things are measured and archived to ``BENCH_pool.json``:
   per-call sharded run (and therefore to the single-process batched run),
   checked on the measured workload itself;
 * **calls/sec over a K-call ladder** — the same ensemble submitted K
-  times in a row, once through per-call sharded execution (spawn workers,
-  prepare operators, run, tear down — every call) and once through one
+  times in a row, once through per-call sharded execution (an ephemeral
+  pool: start workers, prepare operators, run, tear down — every call)
+  and once through one
   :class:`~repro.engines.pool.ShardedWorkerPool` (workers persist, the
   prepared topology operators are cached per worker, record columns come
   back through shared memory zero-copy).

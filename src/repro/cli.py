@@ -169,14 +169,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--kernel",
         default="numpy",
-        choices=["numpy", "numba", "cffi", "python", "auto"],
+        choices=["numpy", "cffi", "python", "auto"],
         help=(
             "kernel tier of the batched engine's discrete hot loop: 'numpy' "
-            "(default) runs the vectorised numpy kernels, 'numba'/'cffi' "
-            "force a compiled provider (error when unavailable — install "
-            "the [compiled] extra), 'python' the pure-python reference "
-            "provider, 'auto' the best available compiled provider with "
-            "silent numpy fallback; every tier is bit-identical"
+            "(default) runs the vectorised numpy kernels, 'cffi' forces the "
+            "compiled provider (error when unavailable — install the "
+            "[compiled] extra), 'python' the pure-python reference "
+            "provider, 'auto' cffi when it builds with silent numpy "
+            "fallback; every tier is bit-identical"
         ),
     )
     p_sim.add_argument(

@@ -375,13 +375,13 @@ class EngineConfig:
     #: or graph is not eligible).
     fast_path: str = "auto"
     #: Kernel tier of the batched engine's discrete hot loop: ``"numpy"``
-    #: (default) runs the vectorised numpy kernels, ``"numba"`` / ``"cffi"``
-    #: force a compiled provider from :mod:`repro.kernels` (raising a
+    #: (default) runs the vectorised numpy kernels, ``"cffi"`` forces the
+    #: compiled provider from :mod:`repro.kernels` (raising a
     #: ``ConfigurationError`` naming the ``[compiled]`` pip extra when the
     #: provider is unavailable or the config is not discrete), ``"python"``
     #: forces the pure-python reference provider (tests only), and
-    #: ``"auto"`` picks the best available compiled provider — numba, then
-    #: cffi — silently falling back to the numpy tier with a one-time
+    #: ``"auto"`` picks cffi when it builds, silently falling back to the
+    #: numpy tier with a one-time
     #: ``repro.kernels`` log line.  Every provider is bit-identical to the
     #: numpy tier for every discrete rounding (stochastic roundings keep
     #: consuming the same pre-drawn per-replica RNG planes).  Batched and
@@ -421,14 +421,15 @@ class EngineConfig:
     #: non-default value rather than silently running single-process.
     workers: Any = None
     #: Persistent worker pool of the sharded engine: ``None``/``False``
-    #: (default) spawns fresh worker processes per call, ``True``/``"auto"``
+    #: (default) runs each call on an ephemeral pool closed when the call
+    #: returns, ``True``/``"auto"``
     #: routes the call through the process-wide default
     #: :class:`~repro.engines.pool.ShardedWorkerPool` (workers persist
     #: across calls, load planes and record columns travel through
     #: ``multiprocessing.shared_memory``, prepared topologies/operators are
     #: cached per worker), and a :class:`ShardedWorkerPool` instance pins
-    #: that pool.  Results stay bit-identical to the per-call sharded
-    #: engine (and hence the batched engine).  Sharded engine only.
+    #: that pool.  Results stay bit-identical to the batched engine
+    #: whatever the pool's lifetime.  Sharded engine only.
     pool: Any = None
     #: Per-replica parameter planes (:class:`ReplicaParams`, or a dict of
     #: its fields): switch round, beta, alpha scale, initial-load scale

@@ -693,7 +693,7 @@ class _BatchedHandle:
                 self.kern_uoff = np.empty(B + 1, dtype=np.int64)
                 self.kern_uni_flat = None  # grown on demand, reused across rounds
             else:
-                self.slot_dirs_flat = slot_dirs.ravel()
+                self.slot_dirs_flat = slot_dirs.ravel().astype(dtype, copy=False)
                 cached_take = (
                     op_cache.get("slot_take") if op_cache is not None else None
                 )
@@ -1026,7 +1026,7 @@ class BatchedVectorEngine(Engine):
             )
             h.dmax = dmax
             h.adj_edges_flat = adj_edges.ravel()
-            h.slot_dirs_flat = slot_dirs.ravel()
+            h.slot_dirs_flat = slot_dirs.ravel().astype(dtype, copy=False)
             h.slot_take = [
                 np.where(
                     slot_dirs[:, j] > 0,
@@ -1313,7 +1313,6 @@ class BatchedVectorEngine(Engine):
         multinomial exactly; only the generator's consumption order differs.
         """
         act = h.act
-        B = h.n_replicas
         m = h.topo.m_edges
         if m == 0:
             return np.multiply(sched, 1.0, out=act)
@@ -1327,73 +1326,37 @@ class BatchedVectorEngine(Engine):
         p_block = pn[:m]
         np.maximum(fsg, 0.0, out=p_block)
         np.subtract(p_block, fsg, out=pn[m + 1 : 2 * m + 1])
+        return self._excess_tokens(h, act)
 
-        if h.tile:
-            return self._excess_tokens_tiled(h, act)
-
-        # Cumulative outgoing-fraction planes over the node's incident edges
-        # (fixed permutation — no per-round sorting).
-        planes = h.cum_planes
-        np.take(pn, h.slot_take[0], axis=0, out=planes[0])
-        for j in range(1, h.dmax):
-            np.take(pn, h.slot_take[j], axis=0, out=planes[j])
-            np.add(planes[j], planes[j - 1], out=planes[j])
-        r = planes[h.dmax - 1]  # surplus per (node, replica)
-
-        # Token budget c = ceil(r - tol): exactly 0 (well, -0.0) for senders
-        # with no fractional surplus, so they emit no tokens.
-        c = np.subtract(r, h.frac_tol, out=h.nb3)
-        np.ceil(c, out=c)
-        c_flat = c.ravel()
-        counts = c_flat.astype(np.int64)
-        tok_slot = np.repeat(h.slot_arange, counts)
-        if tok_slot.size == 0:
-            return act
-        target = _token_uniforms(h.rngs, tok_slot, B, h.dtype)
-        np.multiply(target, c_flat[tok_slot], out=target)
-        # slot index = number of cumulative planes <= target (searchsorted
-        # 'right' over the sender's segment, zero-width slots skipped)
-        planes_flat = planes.reshape(h.dmax, -1)
-        pos = (planes_flat[0][tok_slot] <= target).view(np.uint8).astype(np.int64)
-        for j in range(1, h.dmax):
-            pos += planes_flat[j][tok_slot] <= target
-        moved = np.flatnonzero(pos < h.dmax)  # the rest stay home
-        if moved.size:
-            tok_moved = tok_slot[moved]
-            node = tok_moved // B
-            col = tok_moved - node * B
-            flat_slot = node * h.dmax + pos[moved]
-            edge_ids = h.adj_edges_flat[flat_slot]
-            signs = h.slot_dirs_flat[flat_slot]
-            extra = np.bincount(
-                edge_ids * B + col, weights=signs, minlength=m * B
-            )
-            np.add(act, extra.reshape(m, B), out=act)
-        return act
-
-    def _excess_tokens_tiled(self, h: _BatchedHandle, act: np.ndarray) -> np.ndarray:
-        """Lazy token-plane variant of the excess dispatch: the cumulative
-        outgoing-fraction planes are built one node tile at a time, bounding
-        the dominant ``(max_degree, n, B)`` scratch to ``(max_degree, tile,
-        B)``.  Each replica's tokens draw from its own stream in global node
-        order — exactly the dense path's consumption order, since
-        consecutive ``Generator.random`` calls continue one stream — so
-        tiled and dense dispatches are bit-identical for any tile size.
+    def _excess_tokens(self, h: _BatchedHandle, act: np.ndarray) -> np.ndarray:
+        """Token dispatch over the cumulative outgoing-fraction planes,
+        built one node tile at a time (a dense run is the single tile
+        ``(0, n)``), so the dominant ``(max_degree, n, B)`` scratch is
+        bounded to ``(max_degree, tile, B)`` in tiled mode.  Each replica's
+        tokens draw from its own stream in global node order — consecutive
+        ``Generator.random`` calls continue one stream — so every tile
+        split dispatches bit-identically.
         """
         B = h.n_replicas
-        m = h.topo.m_edges
         pn = h.pn
         planes = h.cum_planes
-        tok_cols: List[np.ndarray] = []
-        tok_signs: List[np.ndarray] = []
-        for a, b in h.node_tiles:
+        tiles, scratch = (
+            (h.node_tiles, h.ts1) if h.tile else ([(0, planes.shape[1])], h.nb3)
+        )
+        act_flat = act.reshape(-1)
+        for a, b in tiles:
             k = b - a
             pl = planes[:, :k]
+            # Cumulative outgoing-fraction planes over the node's incident
+            # edges (fixed permutation — no per-round sorting); the last
+            # plane is the surplus r per (node, replica).
             np.take(pn, h.slot_take[0][a:b], axis=0, out=pl[0])
             for j in range(1, h.dmax):
                 np.take(pn, h.slot_take[j][a:b], axis=0, out=pl[j])
                 np.add(pl[j], pl[j - 1], out=pl[j])
-            c = np.subtract(pl[h.dmax - 1], h.frac_tol, out=h.ts1[:k])
+            # Token budget c = ceil(r - tol): exactly 0 (well, -0.0) for
+            # senders with no fractional surplus, so they emit no tokens.
+            c = np.subtract(pl[h.dmax - 1], h.frac_tol, out=scratch[:k])
             np.ceil(c, out=c)
             c_flat = c.ravel()
             counts = c_flat.astype(np.int64)
@@ -1412,15 +1375,14 @@ class BatchedVectorEngine(Engine):
                 node = tok_moved // B
                 col = tok_moved - node * B
                 flat_slot = (node + a) * h.dmax + pos[moved]
-                tok_cols.append(h.adj_edges_flat[flat_slot] * B + col)
-                tok_signs.append(h.slot_dirs_flat[flat_slot])
-        if tok_cols:
-            extra = np.bincount(
-                np.concatenate(tok_cols),
-                weights=np.concatenate(tok_signs),
-                minlength=m * B,
-            )
-            np.add(act, extra.reshape(m, B), out=act)
+                # One +-1 per token onto integral actuals, in the engine
+                # dtype like the compiled providers' scatter: exact (below
+                # 2**24 in float32), so the add order cannot matter.
+                np.add.at(
+                    act_flat,
+                    h.adj_edges_flat[flat_slot] * B + col,
+                    h.slot_dirs_flat[flat_slot],
+                )
         return act
 
     # ------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Persistent shared-memory worker pool for the sharded engine.
 
-The per-call sharded engine (:mod:`repro.engines.sharded`) pays a full
-``ctx.Pool`` spawn, a pickled ``(Topology, EngineConfig, loads)`` payload
-and a pickled :class:`~repro.engines.base.RecordBatch` return on every
-call.  Sweeps and ensembles issue *many* calls on the *same* graph, so
-all three costs are pure overhead after the first call.  This module
-amortises them:
+This is the sharded engine's one transport (:mod:`repro.engines.sharded`).
+A sharded call with ``EngineConfig.pool=None`` runs on an *ephemeral*
+pool, one worker per shard, closed when the call returns.  Sweeps and
+ensembles issue *many* calls on the *same* graph, so process start,
+topology transfer and operator builds are pure overhead after the first
+call; a pool that outlives the call amortises all three:
 
 * **Persistent workers.**  :class:`ShardedWorkerPool` owns long-lived
   worker processes connected by pipes.  A call ships one small task
@@ -30,12 +30,14 @@ amortises them:
 
 Bit-identity
 ------------
-The pool reuses :meth:`ShardedEngine._shard_payloads` verbatim, so the
-shard plan, the per-replica stream keys and the worker-side engines are
-exactly those of the per-call sharded engine; workers write the same
-column values the per-call merge would h-stack.  Pooled results are
-therefore bit-identical to the per-call sharded engine (and through it
-to the batched engine) for every rounding, static and dynamic.
+The pool runs the shard plan of :meth:`ShardedEngine._shard_payloads`
+through the same worker entry point
+(:func:`~repro.engines.sharded._run_shard`) an inline single-shard run
+uses, so the per-replica stream keys and the worker-side engines are
+fixed by the plan alone; workers write the same column values
+:func:`~repro.engines.base.merge_record_batches` would h-stack.  Pooled
+results are therefore bit-identical to the batched engine for every
+rounding, static and dynamic, whatever the pool's lifetime.
 
 Teardown
 --------
@@ -75,8 +77,7 @@ from .base import (
     resolve_workers,
 )
 from .batched import BatchedVectorEngine
-from .sharded import ShardedEngine, _start_method, _wants_staleness
-from .staleness import StalenessEngine
+from .sharded import ShardedEngine, _run_shard, _start_method, _wants_staleness
 
 import multiprocessing
 
@@ -262,15 +263,7 @@ def _execute_task(
             f"pool worker has no cached topology for key {key[:12]}... "
             "(parent/worker cache desync)"
         ) from None
-    config: EngineConfig = task["config"]
     lo, hi = task["lo"], task["hi"]
-    if _wants_staleness(config):
-        engine: Any = StalenessEngine()
-    else:
-        engine = BatchedVectorEngine()
-        # Per-graph operator cache: the handle construction fills it on
-        # the first call and reuses the CSR operators afterwards.
-        engine.operator_cache = op_caches.setdefault(key, {})
     loads_shm = _attach_block(task["loads_name"])
     try:
         plane = np.ndarray(
@@ -280,10 +273,12 @@ def _execute_task(
         del plane
     finally:
         loads_shm.close()
-    if task["dynamic"]:
-        batch = engine.run_dynamic_batch(topo, config, loads)
-    else:
-        batch = engine.run_batch(topo, config, loads)
+    # Per-graph operator cache: a batched shard fills it on the first
+    # call and reuses the CSR operators afterwards.
+    batch = _run_shard(
+        (topo, task["config"], loads, task["dynamic"]),
+        op_caches.setdefault(key, {}),
+    )
     spec = task.get("shared")
     if spec is None:
         return batch
@@ -329,11 +324,11 @@ def _pool_worker(conn, package_root: str) -> None:
 class ShardedWorkerPool:
     """Long-lived worker processes running sharded engine calls.
 
-    Drop-in execution backend for :class:`~repro.engines.sharded.
+    The execution backend of :class:`~repro.engines.sharded.
     ShardedEngine`: ``pool.run_batch(topo, config, loads)`` returns the
-    same merged :class:`RecordBatch` (bit-identical) the per-call engine
-    would, but the workers, their imports, the transferred topologies and
-    the prepared CSR operators all persist across calls.  Use
+    merged :class:`RecordBatch` (bit-identical to the batched engine),
+    and the workers, their imports, the transferred topologies and the
+    prepared CSR operators all persist across calls.  Use
     ``EngineConfig.pool=True`` (or ``simulate --pool``) to route through
     the process-wide :func:`default_pool`, or construct and pass an
     instance explicitly (``EngineConfig(pool=my_pool)``) to own the
@@ -470,7 +465,7 @@ class ShardedWorkerPool:
         initial_loads,
         dynamic: bool = False,
     ) -> RecordBatch:
-        """Run one sharded call on the persistent workers.
+        """Run one sharded call on the pool's workers.
 
         Returns the merged :class:`RecordBatch` — zero-copy views over
         shared blocks when the config is eligible, a pickled-and-merged
@@ -478,9 +473,21 @@ class ShardedWorkerPool:
         ``ShardedEngine.run``/``run_dynamic`` either way.
         """
         loads = as_load_batch(initial_loads, topo.n)
-        B = loads.shape[0]
         shard_cfg = replace(config, workers=self.n_workers, pool=None)
         payloads = ShardedEngine()._shard_payloads(topo, shard_cfg, loads, dynamic)
+        return self.run_payloads(topo, config, loads, payloads, dynamic)
+
+    def run_payloads(
+        self,
+        topo: Topology,
+        config: EngineConfig,
+        loads: np.ndarray,
+        payloads: List,
+        dynamic: bool,
+    ) -> RecordBatch:
+        """Dispatch a validated shard plan (at most one shard per worker)
+        and merge the replies; :meth:`run_batch` minus the planning."""
+        B = loads.shape[0]
         bounds = plan_shards(B, len(payloads))
         self._ensure_workers()
         key = topology_fingerprint(topo)

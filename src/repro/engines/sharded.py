@@ -42,23 +42,24 @@ and the merge stays bit-identical to the batched engine under churn.
 
 Worker lifecycle
 ----------------
-Workers are plain ``multiprocessing`` pool processes.  The payload per
-shard is ``(Topology, EngineConfig, loads_shard, dynamic)`` — everything
-pickles, so the engine is **spawn-safe**; the start method defaults to
-``fork`` where available (no interpreter restart) and can be forced with
-the ``REPRO_SHARDED_START`` environment variable (``spawn`` /
-``forkserver`` / ``fork``).  A single-shard plan (one worker, or ``B <=
-3`` — the >= 2-column shard floor caps the shard count at ``B // 2``)
-runs inline in the parent — no process is spawned, but the exact same
-shard/merge code path executes.
+Every multi-shard call runs on a
+:class:`~repro.engines.pool.ShardedWorkerPool` — the one transport.  With
+``EngineConfig.pool=None`` (the default) the call opens an *ephemeral*
+pool with exactly one worker per shard and closes it when the call
+returns; ``pool=True``/``"auto"`` (the process-wide default) or an
+explicit pool instance keeps the workers, their warm imports and the
+prepared operators alive across calls.  Either way the shard plan, the
+merge and the results are the same, bit for bit.  A single-shard plan
+(one worker, or ``B <= 3`` — the >= 2-column shard floor caps the shard
+count at ``B // 2``) runs inline in the parent through the same
+:func:`_run_shard` entry point the workers use; no process starts.
 
-Per-call workers are the default.  Setting ``EngineConfig.pool``
-(``True``/``"auto"`` for the process-wide default, or an explicit
-:class:`~repro.engines.pool.ShardedWorkerPool`) routes the call through
-a *persistent* pool instead: workers survive across calls, cache the
-prepared operators per topology, and return their record columns through
-shared memory — same shard plan, same merge, bit-identical results,
-without re-paying process startup on every call.
+Workers start with ``fork`` where available (no interpreter restart),
+except when this process has loaded a threaded compiled runtime (the
+cffi provider's OpenMP pool): a fork after OpenMP started deadlocks the
+child's first parallel region, so :func:`_start_method` resolves
+``spawn`` instead.  The ``REPRO_SHARDED_START`` environment variable
+(``spawn`` / ``forkserver`` / ``fork``) overrides the decision.
 
 The engine implements the fused :meth:`run` / :meth:`run_dynamic` surface
 only; the ``prepare()``/``step()`` protocol would need one IPC round trip
@@ -70,7 +71,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import sys
 from dataclasses import replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -79,13 +79,13 @@ import numpy as np
 from ..core.churn import resolve_churn
 from ..exceptions import ConfigurationError
 from ..graphs.topology import Topology
+from ..kernels import threaded_runtime_loaded
 
 from .base import (
     Engine,
     EngineConfig,
     RecordBatch,
     as_load_batch,
-    merge_record_batches,
     plan_shards,
     register_engine,
     reject_async_only,
@@ -112,17 +112,16 @@ def _wants_staleness(config: EngineConfig) -> bool:
         or config.latency_buckets != "ceil"
     )
 
-#: Fallback start method: ``fork`` avoids the per-worker interpreter
-#: restart and re-import cost where the platform offers it.
-_DEFAULT_START = (
-    "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-)
-
 
 def _start_method() -> str:
-    """The configured start method (``REPRO_SHARDED_START`` overrides)."""
-    method = os.environ.get("REPRO_SHARDED_START", _DEFAULT_START)
+    """The worker start method: ``fork`` where available unless a
+    threaded compiled runtime is live in this process, then ``spawn``
+    (``REPRO_SHARDED_START`` overrides)."""
     known = multiprocessing.get_all_start_methods()
+    method = os.environ.get("REPRO_SHARDED_START")
+    if method is None:
+        fork_safe = "fork" in known and not threaded_runtime_loaded()
+        method = "fork" if fork_safe else "spawn"
     if method not in known:
         raise ConfigurationError(
             f"REPRO_SHARDED_START={method!r} is not available here; "
@@ -131,29 +130,26 @@ def _start_method() -> str:
     return method
 
 
-def _init_worker(package_root: str) -> None:
-    """Pool initializer: make ``repro`` importable in spawned children.
+def _run_shard(
+    payload: Tuple[Topology, EngineConfig, np.ndarray, bool],
+    operator_cache: Optional[dict] = None,
+) -> RecordBatch:
+    """Run one column shard through a fresh round-core engine.
 
-    Fork children inherit ``sys.path``; spawn/forkserver children only
-    inherit the environment, so a parent that imported ``repro`` from a
-    source checkout (``PYTHONPATH=src``) must hand the path over
-    explicitly before the first task unpickles.
-    """
-    if package_root not in sys.path:
-        sys.path.insert(0, package_root)
-
-
-def _run_shard(payload: Tuple[Topology, EngineConfig, np.ndarray, bool]) -> RecordBatch:
-    """Run one column shard through a fresh batched engine (worker side).
-
-    Executed in a worker process for multi-shard plans and inline in the
-    parent for single-shard plans — the code path is identical either way.
-    The shard config already carries the global ``replica_keys`` /
+    The worker body of every pool task, and the inline path of
+    single-shard plans — the code path is identical either way.  The
+    shard config already carries the global ``replica_keys`` /
     ``arrival_seeds``, so the returned :class:`RecordBatch` holds exactly
-    the full-batch run's columns for this shard's replicas.
+    the full-batch run's columns for this shard's replicas.  A batched
+    shard fills and reuses ``operator_cache`` (a pool worker's per-graph
+    CSR operators) when one is given.
     """
     topo, config, loads, dynamic = payload
-    engine = StalenessEngine() if _wants_staleness(config) else BatchedVectorEngine()
+    if _wants_staleness(config):
+        engine = StalenessEngine()
+    else:
+        engine = BatchedVectorEngine()
+        engine.operator_cache = operator_cache
     if dynamic:
         return engine.run_dynamic_batch(topo, config, loads)
     return engine.run_batch(topo, config, loads)
@@ -290,27 +286,10 @@ class ShardedEngine(Engine):
             payloads.append((topo, shard_config, loads[lo:hi], dynamic))
         return payloads
 
-    def _run_shards(
-        self, payloads: List[Tuple[Topology, EngineConfig, np.ndarray, bool]]
-    ) -> RecordBatch:
-        """Execute the shard plan and merge the per-shard record batches."""
-        if len(payloads) == 1:
-            return merge_record_batches([_run_shard(payloads[0])])
-        ctx = multiprocessing.get_context(_start_method())
-        package_root = os.path.dirname(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        )
-        with ctx.Pool(
-            processes=len(payloads),
-            initializer=_init_worker,
-            initargs=(package_root,),
-        ) as pool:
-            batches = pool.map(_run_shard, payloads)
-        return merge_record_batches(batches)
-
     def _resolve_pool(self, config: EngineConfig):
-        """Map ``config.pool`` to a live pool, or ``None`` for per-call
-        workers.  ``True``/``"auto"`` route to the process-wide default
+        """Map ``config.pool`` to a live pool, or ``None`` for an
+        ephemeral per-call pool.  ``True``/``"auto"`` route to the
+        process-wide default
         :class:`~repro.engines.pool.ShardedWorkerPool`; an explicit pool
         instance is used as-is (callers own its lifecycle)."""
         spec = config.pool
@@ -322,6 +301,20 @@ class ShardedEngine(Engine):
             return default_pool()
         return spec
 
+    def _run(self, topo, config, initial_loads, dynamic: bool) -> RecordBatch:
+        """Execute the shard plan and return the merged record batch."""
+        loads = as_load_batch(initial_loads, topo.n)
+        pool = self._resolve_pool(config)
+        if pool is not None:
+            return pool.run_batch(topo, config, loads, dynamic=dynamic)
+        payloads = self._shard_payloads(topo, config, loads, dynamic)
+        if len(payloads) == 1:
+            return _run_shard(payloads[0])
+        from .pool import ShardedWorkerPool  # lazy: pool imports sharded
+
+        with ShardedWorkerPool(len(payloads)) as pool:
+            return pool.run_payloads(topo, config, loads, payloads, dynamic)
+
     # ------------------------------------------------------------------
     def run(self, topo, config, initial_loads):
         """Shard the batch across workers; one ``SimulationResult`` per
@@ -332,12 +325,7 @@ class ShardedEngine(Engine):
                 "config has arrival models; dynamic workloads run through "
                 "run_dynamic()"
             )
-        loads = as_load_batch(initial_loads, topo.n)
-        pool = self._resolve_pool(config)
-        if pool is not None:
-            return pool.run_batch(topo, config, loads).results()
-        payloads = self._shard_payloads(topo, config, loads, dynamic=False)
-        return self._run_shards(payloads).results()
+        return self._run(topo, config, initial_loads, dynamic=False).results()
 
     def run_dynamic(self, topo, config, initial_loads):
         """Shard a dynamic batch across workers; one ``DynamicResult`` per
@@ -347,11 +335,4 @@ class ShardedEngine(Engine):
             raise ConfigurationError(
                 "run_dynamic() needs arrival models (set config.arrivals)"
             )
-        loads = as_load_batch(initial_loads, topo.n)
-        pool = self._resolve_pool(config)
-        if pool is not None:
-            return pool.run_batch(
-                topo, config, loads, dynamic=True
-            ).dynamic_results()
-        payloads = self._shard_payloads(topo, config, loads, dynamic=True)
-        return self._run_shards(payloads).dynamic_results()
+        return self._run(topo, config, initial_loads, dynamic=True).dynamic_results()

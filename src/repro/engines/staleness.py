@@ -293,14 +293,10 @@ class _StalenessCore:
             )
             self.slot_arange = np.arange(n * B, dtype=np.int64)
             self._frac_ext = np.zeros((na + 1, B), dtype=np.float64)
-            if tile:
-                self.node_tiles = _tiles(n, tile)
-                self._planes = np.empty(
-                    (self.dmax, min(tile, n), B), dtype=np.float64
-                )
-            else:
-                self.node_tiles = None
-                self._planes = np.empty((self.dmax, n, B), dtype=np.float64)
+            self.node_tiles = _tiles(n, tile) if tile else [(0, n)]
+            self._planes = np.empty(
+                (self.dmax, min(tile, n) if tile else n, B), dtype=np.float64
+            )
         # Per-replica LinkOutage arc masks, built lazily per model.
         self._outage_masks: dict = {}
 
@@ -362,38 +358,7 @@ class _StalenessCore:
         np.subtract(pos, base, out=self._frac_ext[:na])
         frac_ext = self._frac_ext
 
-        if self.node_tiles is None:
-            planes = self._planes
-            np.take(frac_ext, self.slot_take[0], axis=0, out=planes[0])
-            for j in range(1, dmax):
-                np.take(frac_ext, self.slot_take[j], axis=0, out=planes[j])
-                np.add(planes[j], planes[j - 1], out=planes[j])
-            c = np.ceil(planes[dmax - 1] - _FRAC_TOL)
-            c_flat = c.ravel()
-            tok_slot = np.repeat(self.slot_arange, c_flat.astype(np.int64))
-            if tok_slot.size == 0:
-                return base
-            target = _token_uniforms(self.rngs, tok_slot, B, np.float64)
-            np.multiply(target, c_flat[tok_slot], out=target)
-            planes_flat = planes.reshape(dmax, -1)
-            pos_idx = (
-                (planes_flat[0][tok_slot] <= target)
-                .view(np.uint8)
-                .astype(np.int64)
-            )
-            for j in range(1, dmax):
-                pos_idx += planes_flat[j][tok_slot] <= target
-            moved = np.flatnonzero(pos_idx < dmax)
-            if moved.size == 0:
-                return base
-            tok_moved = tok_slot[moved]
-            node = tok_moved // B
-            col = tok_moved - node * B
-            arc = self.indptr[:-1][node] + pos_idx[moved]
-            extra = np.bincount(arc * B + col, minlength=na * B)
-            return np.add(base, extra.reshape(na, B), out=base)
-
-        # Tiled dispatch: cumulative planes one node tile at a time.
+        # Cumulative planes one node tile at a time (dense: one tile).
         tok_cols: List[np.ndarray] = []
         for a, bnd in self.node_tiles:
             k = bnd - a

@@ -5,15 +5,12 @@ passes over ``(m, B)`` planes (schedule, round, token dispatch, apply).
 This package provides *fused* single-pass implementations of those four
 kernels behind one provider API, selected by ``EngineConfig.kernel``:
 
-* ``"numba"`` — ``@njit(parallel=True, cache=True)`` kernels
-  (:mod:`._numba`), available when numba is installed (the ``[compiled]``
-  pip extra);
-* ``"cffi"`` — the same kernels as C compiled once through cffi with the
+* ``"cffi"`` — the kernels as C compiled once through cffi with the
   system compiler (:mod:`._cffi`), cached on disk;
 * ``"python"`` — a pure numpy/python reference provider (:mod:`._python`)
   that validates the orchestration without any compiler;
-* ``"auto"`` — the best available compiled provider (numba, then cffi),
-  silently falling back to the numpy tier with a one-time log line;
+* ``"auto"`` — the cffi provider when it builds, silently falling back
+  to the numpy tier with a one-time log line;
 * ``"numpy"`` — the engine's own vectorised kernels (no provider).
 
 Every provider is **bit-identical** to the numpy tier: deterministic
@@ -69,13 +66,13 @@ from ..exceptions import ConfigurationError
 __all__ = [
     "DISCRETE_ROUNDINGS",
     "HAVE_CFFI",
-    "HAVE_NUMBA",
     "KERNEL_CHOICES",
     "ROUNDING_CODES",
     "ensure_warm",
     "get_provider",
     "kernel_blockers",
     "resolve_kernel",
+    "threaded_runtime_loaded",
     "warm_up_kernels",
 ]
 
@@ -91,14 +88,13 @@ DISCRETE_ROUNDINGS = (
 ROUNDING_CODES = {name: i for i, name in enumerate(DISCRETE_ROUNDINGS)}
 
 #: Valid ``EngineConfig.kernel`` values.
-KERNEL_CHOICES = ("numpy", "numba", "cffi", "python", "auto")
+KERNEL_CHOICES = ("numpy", "cffi", "python", "auto")
 
 #: Compiled providers in ``"auto"`` preference order.
-AUTO_PREFERENCE = ("numba", "cffi")
+AUTO_PREFERENCE = ("cffi",)
 
-#: Whether the optional compiled dependencies are importable (spec check
-#: only — importing numba eagerly would cost seconds per process).
-HAVE_NUMBA = importlib.util.find_spec("numba") is not None
+#: Whether the optional compiled dependency is importable (spec check
+#: only — importing cffi does not build the provider).
 HAVE_CFFI = importlib.util.find_spec("cffi") is not None
 
 #: Provider cache: name -> provider instance, or None when the provider
@@ -121,14 +117,6 @@ def get_provider(name: str):
         return _PROVIDERS[name]
     if name == "python":
         from . import _python as mod
-    elif name == "numba":
-        mod = None
-        if HAVE_NUMBA:
-            try:
-                from . import _numba as mod
-            except Exception as exc:  # pragma: no cover - env dependent
-                logger.debug("numba provider unavailable: %s", exc)
-                mod = None
     elif name == "cffi":
         mod = None
         if HAVE_CFFI:
@@ -148,6 +136,14 @@ def get_provider(name: str):
             provider = None
     _PROVIDERS[name] = provider
     return provider
+
+
+def threaded_runtime_loaded() -> bool:
+    """Whether this process has loaded the cffi provider, whose OpenMP
+    thread pool does not survive ``fork``: a forked child's first
+    parallel region blocks forever on the parent's pool state.  Worker
+    pools read this to pick their start method."""
+    return _PROVIDERS.get("cffi") is not None
 
 
 def kernel_blockers(config, m_edges: int) -> List[str]:
@@ -173,7 +169,7 @@ def _log_fallback_once(key, message: str) -> None:
 def resolve_kernel(config, m_edges: int):
     """Resolve ``config.kernel`` to a provider instance or ``None`` (numpy).
 
-    Forced providers (``"numba"``/``"cffi"``/``"python"``) raise
+    Forced providers (``"cffi"``/``"python"``) raise
     :class:`~repro.exceptions.ConfigurationError` when the config is
     blocked or the provider is unavailable, naming the ``[compiled]`` pip
     extra; ``"auto"`` silently falls back to the numpy tier instead, with
@@ -204,7 +200,7 @@ def resolve_kernel(config, m_edges: int):
             ("missing",),
             "kernel='auto' falls back to the numpy tier: no compiled "
             "provider is available (pip install 'repro-lb[compiled]' for "
-            "the numba/cffi tiers)",
+            "the cffi tier)",
         )
         return None
     if blockers:
@@ -242,10 +238,10 @@ def _warn_dynamic_clamp(config, provider_name: str) -> None:
 def _warm_provider(provider) -> None:
     """Exercise every provider entry point on a tiny two-node problem.
 
-    Triggers JIT/compilation outside any measured loop (both dtypes, all
-    rounding codes, all schedule modes, the excess passes and the apply
-    pass).  The warm-up draws no engine randomness — every buffer is
-    built locally.
+    Triggers compilation and first-call costs outside any measured loop
+    (both dtypes, all rounding codes, all schedule modes, the excess
+    passes and the apply pass).  The warm-up draws no engine randomness
+    — every buffer is built locally.
     """
     eu = np.array([0], dtype=np.int32)
     ev = np.array([1], dtype=np.int32)
@@ -296,12 +292,12 @@ def ensure_warm(provider) -> None:
 def warm_up_kernels(names=None) -> Dict[str, bool]:
     """Warm every requested provider; returns ``{name: available}``.
 
-    Benchmarks call this explicitly so JIT/compile time never pollutes
+    Benchmarks call this explicitly so compile time never pollutes
     the measured rounds/sec; the engine calls :func:`ensure_warm` lazily
     on the first compiled run.
     """
     results: Dict[str, bool] = {}
-    for name in names if names is not None else ("python", "cffi", "numba"):
+    for name in names if names is not None else ("python", "cffi"):
         provider = get_provider(name)
         if provider is None:
             results[name] = False

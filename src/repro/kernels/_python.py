@@ -3,8 +3,8 @@
 Exists so the kernel orchestration — mode/coefficient resolution, the RNG
 pre-draw protocol, the padded-adjacency token walk, the sequential apply
 order — can be validated on any machine with no compiler and no optional
-dependency.  Every expression mirrors the C/numba providers operation for
-operation, so it is bit-identical to both and to the engine's own numpy
+dependency.  Every expression mirrors the C provider operation for
+operation, so it is bit-identical to it and to the engine's own numpy
 tier (for which it is *not* a speedup: the token/apply loops are plain
 python, fine at test sizes only).
 """

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import faulthandler
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -14,6 +18,32 @@ from repro import (
     star,
     torus_2d,
 )
+
+
+#: Wall-clock limit per test for the hang guard.  The slowest test runs
+#: in well under a minute; a test still running at the limit is a
+#: deadlock, not a slow test.
+HANG_GUARD_S = 600
+
+#: The real stderr, duplicated while output capture is suspended, so a
+#: hang dump survives the process exit instead of dying in a capture file.
+_HANG_GUARD_FD = None
+
+
+def pytest_configure(config):
+    global _HANG_GUARD_FD
+    _HANG_GUARD_FD = os.dup(sys.__stderr__.fileno())
+
+
+@pytest.fixture(autouse=True)
+def _hang_guard():
+    """Fail a deadlocked test with every thread's stack, then exit the
+    run, instead of stalling it forever."""
+    faulthandler.dump_traceback_later(
+        HANG_GUARD_S, exit=True, file=_HANG_GUARD_FD
+    )
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture

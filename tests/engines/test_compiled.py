@@ -1,11 +1,11 @@
 """Compiled kernel tier: bit-identity with the numpy tier everywhere.
 
 The contract under test (see ``src/repro/kernels/__init__.py``): every
-kernel provider — python, cffi, numba — produces *bit-identical* results
+kernel provider — python, cffi — produces *bit-identical* results
 to the engine's own numpy kernels for every discrete rounding, across
 dense/tiled/sharded execution, static and dynamic runs, B=1 and B>1,
 ``replica_params`` planes and both precisions.  Providers that are not
-available in the environment (no numba, no C compiler) are skip-marked,
+available in the environment (no C compiler) are skip-marked,
 never failed; the pure-python provider always runs, so the orchestration
 (mode resolution, RNG pre-draws, token walk, apply order) is validated on
 every machine.
@@ -34,7 +34,7 @@ PROVIDERS = [
             reason=f"kernel provider {name!r} unavailable",
         ),
     )
-    for name in ("python", "cffi", "numba")
+    for name in ("python", "cffi")
 ]
 
 
@@ -187,8 +187,8 @@ class TestConfigSurface:
             make_engine("batched").run_batch(TORUS, cfg, _batch(TORUS))
 
     def test_forced_kernel_missing_names_pip_extra(self, monkeypatch):
-        monkeypatch.setitem(kernels._PROVIDERS, "numba", None)
-        cfg = EngineConfig(rounding="floor", kernel="numba", rounds=2)
+        monkeypatch.setitem(kernels._PROVIDERS, "cffi", None)
+        cfg = EngineConfig(rounding="floor", kernel="cffi", rounds=2)
         with pytest.raises(ConfigurationError, match=r"repro-lb\[compiled\]"):
             make_engine("batched").run_batch(TORUS, cfg, _batch(TORUS))
 
@@ -227,11 +227,10 @@ class TestConfigSurface:
     def test_warm_up_kernels_reports_availability(self):
         out = kernels.warm_up_kernels()
         assert out["python"] is True
-        assert set(out) == {"python", "cffi", "numba"}
+        assert set(out) == {"python", "cffi"}
         assert all(isinstance(v, bool) for v in out.values())
 
     def test_have_flags_are_spec_checks(self):
-        assert isinstance(kernels.HAVE_NUMBA, bool)
         assert isinstance(kernels.HAVE_CFFI, bool)
 
     def test_get_provider_unknown_name(self):

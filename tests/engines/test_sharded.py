@@ -10,14 +10,16 @@ whole thing possible — a replica's trajectory must not depend on its
 batch position or shard assignment.
 """
 
+import glob
 import math
+import multiprocessing
 import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro import ConfigurationError, point_load, random_load, torus_2d
+from repro import ConfigurationError, kernels, point_load, random_load, torus_2d
 from repro.core.records import StreamingStats
 from repro.engines import (
     EngineConfig,
@@ -29,6 +31,7 @@ from repro.engines import (
     resolve_workers,
     rounding_stream,
 )
+from repro.engines.pool import ShardedWorkerPool
 from repro.engines.sharded import _run_shard, _start_method
 from repro.graphs import random_regular_strict
 
@@ -450,6 +453,92 @@ class TestStartMethods:
     def test_default_start_method_known(self):
         if "REPRO_SHARDED_START" not in os.environ:
             assert _start_method() in ("fork", "spawn")
+
+    def test_threaded_runtime_resolves_spawn(self, monkeypatch):
+        """A loaded cffi provider (live OpenMP pool) rules fork out; the
+        environment variable still overrides."""
+        monkeypatch.delenv("REPRO_SHARDED_START", raising=False)
+        if "fork" in multiprocessing.get_all_start_methods():
+            monkeypatch.setitem(kernels._PROVIDERS, "cffi", None)
+            assert _start_method() == "fork"
+        monkeypatch.setitem(kernels._PROVIDERS, "cffi", object())
+        assert _start_method() == "spawn"
+        monkeypatch.setenv("REPRO_SHARDED_START", "spawn")
+        assert _start_method() == "spawn"
+
+
+def _shm_names():
+    return set(glob.glob("/dev/shm/psm_*"))
+
+
+class TestPerCallPool:
+    """``pool=None`` calls run on an ephemeral worker pool."""
+
+    def test_multi_shard_call_cleans_up(self, monkeypatch):
+        started = []
+        ensure = ShardedWorkerPool._ensure_workers
+
+        def spy(pool):
+            ensure(pool)
+            started.append(len(pool._procs))
+
+        monkeypatch.setattr(ShardedWorkerPool, "_ensure_workers", spy)
+        loads = _batch(TORUS, 6)
+        config = EngineConfig(
+            rounding="randomized-excess", rounds=8, seed=2, workers=8
+        )
+        shm_before = _shm_names()
+        children_before = set(multiprocessing.active_children())
+        sharded = make_engine("sharded").run(TORUS, config, loads)
+        # B=6 caps the plan at three 2-column shards: one worker each.
+        assert started == [3]
+        assert _shm_names() - shm_before == set()
+        assert set(multiprocessing.active_children()) <= children_before
+        batched = make_engine("batched").run(
+            TORUS, replace(config, workers=None), loads
+        )
+        for a, b in zip(batched, sharded):
+            assert_static_identical(a, b)
+
+    @pytest.mark.parametrize("B,workers", [(3, 2), (6, 1)])
+    def test_single_shard_plan_starts_no_process(self, monkeypatch, B, workers):
+        def refuse(self):
+            raise AssertionError("a single-shard plan started a process")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        loads = _batch(TORUS, B)
+        config = EngineConfig(
+            rounding="randomized-excess", rounds=8, seed=2, workers=workers
+        )
+        sharded = make_engine("sharded").run(TORUS, config, loads)
+        batched = make_engine("batched").run(
+            TORUS, replace(config, workers=None), loads
+        )
+        for a, b in zip(batched, sharded):
+            assert_static_identical(a, b)
+
+    def test_cffi_warmed_parent_completes(self, monkeypatch):
+        """A parent that already ran OpenMP kernels still drives per-call
+        and explicit-pool cffi shards to completion, bit for bit."""
+        if kernels.get_provider("cffi") is None:
+            pytest.skip("kernel provider 'cffi' unavailable")
+        monkeypatch.delenv("REPRO_SHARDED_START", raising=False)
+        loads = _batch(TORUS, 6)
+        config = EngineConfig(
+            rounding="randomized-excess", rounds=12, record_every=3, seed=5
+        )
+        batched = make_engine("batched").run(TORUS, config, loads)
+        make_engine("batched").run(TORUS, replace(config, kernel="cffi"), loads)
+        assert _start_method() == "spawn"
+        cffi_cfg = replace(config, kernel="cffi", workers=2)
+        percall = make_engine("sharded").run(TORUS, cffi_cfg, loads)
+        with ShardedWorkerPool(workers=2) as pool:
+            pooled = make_engine("sharded").run(
+                TORUS, replace(cffi_cfg, pool=pool), loads
+            )
+        for a, b, c in zip(batched, percall, pooled):
+            assert_static_identical(a, b)
+            assert_static_identical(a, c)
 
 
 class TestEnsembleIntegration:
