@@ -101,28 +101,118 @@ def _tiles(total: int, tile: int) -> List[tuple]:
     return [(a, min(a + tile, total)) for a in range(0, max(total, 0), tile)]
 
 
-def _token_uniforms(
-    rngs: List[np.random.Generator], tok_slot: np.ndarray, B: int, dtype
-) -> np.ndarray:
-    """Per-token uniforms, each drawn from its replica's own stream.
+class _UniformBuffer:
+    """Persistent per-token uniforms: :meth:`draw` fills ``counts[b]``
+    uniforms from ``rngs[b]`` into consecutive slices (replica 0 first)
+    and returns the filled prefix, regrowing only when it is too small.
+    Other replicas never touch stream ``b``, so its consumption does not
+    depend on the batch composition."""
 
-    ``tok_slot`` indexes node-major flattened ``(rows, B)`` sender slots,
-    so the tokens of replica ``b`` appear in ascending node order; drawing
-    replica ``b``'s uniforms from ``rngs[b]`` in exactly that order makes
-    the consumption independent of the batch composition (other replicas
-    never touch stream ``b``) *and* of the tile split (consecutive
-    ``Generator.random`` calls continue one stream).
-    """
-    if B == 1:
-        return rngs[0].random(tok_slot.size, dtype=dtype)
-    cols = tok_slot % B
-    order = np.argsort(cols, kind="stable")  # group by replica, node order kept
-    counts = np.bincount(cols, minlength=B)
-    target = np.empty(tok_slot.size, dtype=dtype)
-    target[order] = np.concatenate(
-        [rng.random(int(c), dtype=dtype) for rng, c in zip(rngs, counts)]
+    def __init__(self, dtype):
+        self.dtype = dtype
+        self.buf = np.empty(0, dtype=dtype)
+
+    def draw(self, rngs: List[np.random.Generator], counts: np.ndarray) -> np.ndarray:
+        total = int(counts.sum())
+        if self.buf.size < total:
+            self.buf = np.empty(total + total // 4 + 64, dtype=self.dtype)
+        off = 0
+        for rng, cnt in zip(rngs, counts.tolist()):
+            if cnt:
+                rng.random(dtype=self.dtype, out=self.buf[off : off + cnt])
+                off += cnt
+        return self.buf[:total]
+
+
+def _replica_major_slots(rows: int, B: int) -> np.ndarray:
+    """``(B, rows)`` table of flat ``(rows, B)`` slot ids, node-ascending."""
+    return np.arange(rows * B).reshape(rows, B).T.copy()
+
+
+def _padded_adjacency(topo: Topology) -> tuple:
+    """``(dmax, adj_edges, slot_dirs)``: node ``i``'s ``j``-th incident edge
+    id (``m`` padding beyond its degree) and its direction, ``+1`` when
+    ``i`` is the edge's u endpoint, ``-1`` when v, ``0`` on padding."""
+    n, m = topo.n, topo.m_edges
+    dmax = int(topo.degrees.max())
+    adj_edges = np.full((n, dmax), m, dtype=np.int64)
+    slot_dirs = np.zeros((n, dmax))
+    idx_node = np.repeat(np.arange(n), topo.degrees)
+    pos_in_row = np.arange(idx_node.size) - topo.adj_indptr[idx_node]
+    adj_edges[idx_node, pos_in_row] = topo.adj_edge_ids
+    slot_dirs[idx_node, pos_in_row] = np.where(
+        idx_node < topo.adj_indices, 1.0, -1.0
     )
-    return target
+    return dmax, adj_edges, slot_dirs
+
+
+def _slot_take(adj_edges: np.ndarray, slot_dirs: np.ndarray, m: int) -> list:
+    """Outgoing-fraction gather indices per slot plane: a slot routes to
+    the P block (positive fsg) when the node is the edge's u endpoint, to
+    the N block (negative fsg) when it is v, and to the always-zero
+    padding row otherwise."""
+    return [
+        np.where(
+            slot_dirs[:, j] > 0,
+            adj_edges[:, j],
+            np.where(slot_dirs[:, j] < 0, adj_edges[:, j] + (m + 1), m),
+        )
+        for j in range(adj_edges.shape[1])
+    ]
+
+
+def _excess_moves(
+    src: np.ndarray,
+    slot_take,
+    tiles: List[tuple],
+    planes: np.ndarray,
+    budget: np.ndarray,
+    tol: float,
+    rngs: List[np.random.Generator],
+    slot_ids: np.ndarray,
+    uniforms: _UniformBuffer,
+):
+    """Dispatch every sender's excess tokens, one node tile at a time.
+
+    ``slot_take[j]`` maps each node's ``j``-th slot to its row of outgoing
+    fractions in ``src``; the cumulative planes over the slots end in the
+    surplus ``r``, and each sender emits ``c = ceil(r - tol)`` tokens.
+    Tokens are enumerated replica-major (``slot_ids``): replica ``b``'s are
+    contiguous and node-ascending, so they take one draw from ``rngs[b]``
+    and consecutive tiles continue each stream — no sorting, and every
+    tile split consumes the streams identically.  A uniform scaled to
+    ``[0, c)`` finds its slot against the planes (a zero-width slot never
+    strictly contains a draw; position ``dmax`` stays home).
+
+    Yields ``(node, replica, position)`` of the tokens that move, per tile.
+    """
+    dmax = planes.shape[0]
+    B = planes.shape[2]
+    for a, b in tiles:
+        k = b - a
+        pl = planes[:, :k]
+        np.take(src, slot_take[0][a:b], axis=0, out=pl[0])
+        for j in range(1, dmax):
+            np.take(src, slot_take[j][a:b], axis=0, out=pl[j])
+            np.add(pl[j], pl[j - 1], out=pl[j])
+        # exactly 0 (well, -0.0) for senders with no fractional surplus
+        c = np.subtract(pl[dmax - 1], tol, out=budget[:k])
+        np.ceil(c, out=c)
+        counts = c.T.astype(np.int64, order="C")  # (B, k), replica-major
+        tok_slot = np.repeat(slot_ids[:, :k], counts.ravel())
+        if tok_slot.size == 0:
+            continue
+        target = uniforms.draw(rngs, counts.sum(axis=1))
+        np.multiply(target, c.ravel()[tok_slot], out=target)
+        pl_flat = pl.reshape(dmax, -1)
+        pos = (pl_flat[0][tok_slot] <= target).view(np.uint8).astype(np.int64)
+        for j in range(1, dmax):
+            pos += pl_flat[j][tok_slot] <= target
+        moved = np.flatnonzero(pos < dmax)
+        if moved.size:
+            tok = tok_slot[moved]
+            node = tok // B
+            yield node + a, tok - node * B, pos[moved]
 
 
 def _tiled_mld(
@@ -668,19 +758,12 @@ class _BatchedHandle:
             if cached_adj is not None:
                 dmax, adj_edges, slot_dirs = cached_adj
             else:
-                dmax = int(topo.degrees.max())
-                adj_edges = np.full((n, dmax), m, dtype=np.int64)
-                slot_dirs = np.zeros((n, dmax))
-                idx_node = np.repeat(np.arange(n), topo.degrees)
-                pos_in_row = np.arange(idx_node.size) - topo.adj_indptr[idx_node]
-                adj_edges[idx_node, pos_in_row] = topo.adj_edge_ids
-                slot_dirs[idx_node, pos_in_row] = np.where(
-                    idx_node < topo.adj_indices, 1.0, -1.0
-                )
+                dmax, adj_edges, slot_dirs = _padded_adjacency(topo)
                 if op_cache is not None:
                     op_cache["adj"] = (dmax, adj_edges, slot_dirs)
             self.dmax = dmax
             self.adj_edges_flat = adj_edges.ravel()
+            self.uniforms = _UniformBuffer(dtype)
             if self.kernel is not None:
                 # Compiled excess path: int8 slot signs plus the token-count
                 # and uniform-offset buffers replace the numpy tier's P/N
@@ -690,8 +773,7 @@ class _BatchedHandle:
                 self.kern_adj_signs = slot_dirs.ravel().astype(np.int8)
                 self.kern_counts = np.empty((n, B), dtype=np.int64)
                 self.kern_totals = np.empty(B, dtype=np.int64)
-                self.kern_uoff = np.empty(B + 1, dtype=np.int64)
-                self.kern_uni_flat = None  # grown on demand, reused across rounds
+                self.kern_uoff = np.zeros(B + 1, dtype=np.int64)  # [0] stays 0
             else:
                 self.slot_dirs_flat = slot_dirs.ravel().astype(dtype, copy=False)
                 cached_take = (
@@ -700,20 +782,7 @@ class _BatchedHandle:
                 if cached_take is not None:
                     self.slot_take = cached_take
                 else:
-                    # Outgoing-fraction gather indices per slot plane: a slot
-                    # routes to the P block (positive fsg) when the node is the
-                    # edge's u endpoint, to the N block (negative fsg) when it
-                    # is v, and to the always-zero padding row otherwise.
-                    self.slot_take = [
-                        np.where(
-                            slot_dirs[:, j] > 0,
-                            adj_edges[:, j],
-                            np.where(
-                                slot_dirs[:, j] < 0, adj_edges[:, j] + (m + 1), m
-                            ),
-                        )
-                        for j in range(dmax)
-                    ]
+                    self.slot_take = _slot_take(adj_edges, slot_dirs, m)
                     if op_cache is not None:
                         op_cache["slot_take"] = self.slot_take
                 # P/N blocks: rows [0, m) positive parts, row m zero padding,
@@ -724,7 +793,7 @@ class _BatchedHandle:
                 # the dominant scratch allocation of large-n discrete runs.
                 plane_rows = self.tile if self.tile else n
                 self.cum_planes = np.empty((dmax, plane_rows, B), dtype=dtype)
-                self.slot_arange = np.arange(plane_rows * B)
+                self.slot_ids = _replica_major_slots(plane_rows, B)
 
         # -- targets ----------------------------------------------------
         if config.targets is not None:
@@ -1015,31 +1084,15 @@ class BatchedVectorEngine(Engine):
             h.E_alpha = _scaled_e(1.0)
             h.E_alpha_beta = _scaled_e(beta_scale)
         if config.rounding == "randomized-excess" and m:
-            dmax = int(topo.degrees.max())
-            adj_edges = np.full((n, dmax), m, dtype=np.int64)
-            slot_dirs = np.zeros((n, dmax))
-            idx_node = np.repeat(np.arange(n), topo.degrees)
-            pos_in_row = np.arange(idx_node.size) - topo.adj_indptr[idx_node]
-            adj_edges[idx_node, pos_in_row] = topo.adj_edge_ids
-            slot_dirs[idx_node, pos_in_row] = np.where(
-                idx_node < topo.adj_indices, 1.0, -1.0
-            )
+            dmax, adj_edges, slot_dirs = _padded_adjacency(topo)
             h.dmax = dmax
             h.adj_edges_flat = adj_edges.ravel()
             h.slot_dirs_flat = slot_dirs.ravel().astype(dtype, copy=False)
-            h.slot_take = [
-                np.where(
-                    slot_dirs[:, j] > 0,
-                    adj_edges[:, j],
-                    np.where(
-                        slot_dirs[:, j] < 0, adj_edges[:, j] + (m + 1), m
-                    ),
-                )
-                for j in range(dmax)
-            ]
+            h.slot_take = _slot_take(adj_edges, slot_dirs, m)
             h.pn = np.zeros((2 * (m + 1), B), dtype=dtype)
             h.cum_planes = np.empty((dmax, n, B), dtype=dtype)
-            h.slot_arange = np.arange(n * B)
+            h.slot_ids = _replica_major_slots(n, B)
+            h.uniforms = _UniformBuffer(dtype)
         h.mb1 = np.empty((m, B), dtype=dtype)
         h.mb2 = np.empty((m, B), dtype=dtype)
         h.mb3 = np.empty((m, B), dtype=dtype)
@@ -1232,27 +1285,11 @@ class BatchedVectorEngine(Engine):
                 h.kern_adj_edges, h.kern_adj_signs, h.dmax, m, fsg,
                 h.kern_counts, h.kern_totals, h.kern_consts,
             )
-            per_replica = h.kern_totals
-            h.kern_uoff[0] = 0
-            np.cumsum(per_replica, out=h.kern_uoff[1:])
-            total = int(h.kern_uoff[B])
-            if total:
-                # Persistent uniform buffer, streams drawn straight into
-                # their slices (a zero-count draw consumes nothing, so the
-                # stream order matches the numpy tier's token_uniforms).
-                buf = h.kern_uni_flat
-                if buf is None or buf.size < total:
-                    buf = h.kern_uni_flat = np.empty(
-                        total + total // 4 + 64, dtype=h.dtype
-                    )
-                uni_flat = buf[:total]
-                for b, rng in enumerate(h.rngs):
-                    cnt = int(per_replica[b])
-                    if cnt:
-                        rng.random(
-                            dtype=h.dtype,
-                            out=uni_flat[h.kern_uoff[b] : h.kern_uoff[b] + cnt],
-                        )
+            np.cumsum(h.kern_totals, out=h.kern_uoff[1:])
+            if h.kern_uoff[B]:
+                # The numpy tier's replica-major draw (_excess_moves), so
+                # both tiers consume the streams identically.
+                uni_flat = h.uniforms.draw(h.rngs, h.kern_totals)
                 kern.excess_dispatch(
                     h.kern_adj_edges, h.kern_adj_signs, h.dmax, m, fsg,
                     h.kern_counts, uni_flat, h.kern_uoff, h.act,
@@ -1302,12 +1339,10 @@ class BatchedVectorEngine(Engine):
         ``j`` with probability ``{Yhat_j} / ceil(r)`` and staying home
         otherwise (Observation 1).  No per-round sorting: the signed
         fractional parts are routed through the topology's fixed padded
-        adjacency into ``max_degree`` dense cumulative planes, whose last
-        plane *is* the surplus ``r``; every token then draws one uniform
-        scaled to ``[0, c)`` and finds its slot by comparing against the
-        planes.  A zero-width slot (no outgoing fraction) can never strictly
-        contain a draw, so sub-``1e-9`` float fuzz needs no explicit cleanup
-        here; ``c`` uses the same tolerance as the reference rounding.
+        adjacency into ``max_degree`` cumulative planes, and the tokens are
+        enumerated replica-major so each replica's uniforms are one
+        contiguous draw from its stream (:func:`_excess_moves`); ``c``
+        uses the same tolerance as the reference rounding.
 
         The joint token-count distribution is the reference scheme's
         multinomial exactly; only the generator's consumption order differs.
@@ -1329,60 +1364,31 @@ class BatchedVectorEngine(Engine):
         return self._excess_tokens(h, act)
 
     def _excess_tokens(self, h: _BatchedHandle, act: np.ndarray) -> np.ndarray:
-        """Token dispatch over the cumulative outgoing-fraction planes,
-        built one node tile at a time (a dense run is the single tile
-        ``(0, n)``), so the dominant ``(max_degree, n, B)`` scratch is
-        bounded to ``(max_degree, tile, B)`` in tiled mode.  Each replica's
-        tokens draw from its own stream in global node order — consecutive
-        ``Generator.random`` calls continue one stream — so every tile
-        split dispatches bit-identically.
+        """Token dispatch over the cumulative outgoing-fraction planes, one
+        node tile at a time (a dense run is the single tile ``(0, n)``), so
+        the dominant ``(max_degree, n, B)`` scratch is bounded to
+        ``(max_degree, tile, B)`` in tiled mode; every tile split
+        dispatches bit-identically (:func:`_excess_moves`).
         """
         B = h.n_replicas
-        pn = h.pn
         planes = h.cum_planes
         tiles, scratch = (
             (h.node_tiles, h.ts1) if h.tile else ([(0, planes.shape[1])], h.nb3)
         )
         act_flat = act.reshape(-1)
-        for a, b in tiles:
-            k = b - a
-            pl = planes[:, :k]
-            # Cumulative outgoing-fraction planes over the node's incident
-            # edges (fixed permutation — no per-round sorting); the last
-            # plane is the surplus r per (node, replica).
-            np.take(pn, h.slot_take[0][a:b], axis=0, out=pl[0])
-            for j in range(1, h.dmax):
-                np.take(pn, h.slot_take[j][a:b], axis=0, out=pl[j])
-                np.add(pl[j], pl[j - 1], out=pl[j])
-            # Token budget c = ceil(r - tol): exactly 0 (well, -0.0) for
-            # senders with no fractional surplus, so they emit no tokens.
-            c = np.subtract(pl[h.dmax - 1], h.frac_tol, out=scratch[:k])
-            np.ceil(c, out=c)
-            c_flat = c.ravel()
-            counts = c_flat.astype(np.int64)
-            tok_slot = np.repeat(h.slot_arange[: k * B], counts)
-            if tok_slot.size == 0:
-                continue
-            target = _token_uniforms(h.rngs, tok_slot, B, h.dtype)
-            np.multiply(target, c_flat[tok_slot], out=target)
-            pl_flat = pl.reshape(h.dmax, -1)
-            pos = (pl_flat[0][tok_slot] <= target).view(np.uint8).astype(np.int64)
-            for j in range(1, h.dmax):
-                pos += pl_flat[j][tok_slot] <= target
-            moved = np.flatnonzero(pos < h.dmax)
-            if moved.size:
-                tok_moved = tok_slot[moved]
-                node = tok_moved // B
-                col = tok_moved - node * B
-                flat_slot = (node + a) * h.dmax + pos[moved]
-                # One +-1 per token onto integral actuals, in the engine
-                # dtype like the compiled providers' scatter: exact (below
-                # 2**24 in float32), so the add order cannot matter.
-                np.add.at(
-                    act_flat,
-                    h.adj_edges_flat[flat_slot] * B + col,
-                    h.slot_dirs_flat[flat_slot],
-                )
+        for node, col, pos in _excess_moves(
+            h.pn, h.slot_take, tiles, planes, scratch, h.frac_tol,
+            h.rngs, h.slot_ids, h.uniforms,
+        ):
+            flat_slot = node * h.dmax + pos
+            # One +-1 per token onto integral actuals, in the engine dtype
+            # like the compiled providers' scatter: exact (below 2**24 in
+            # float32), so the add order cannot matter.
+            np.add.at(
+                act_flat,
+                h.adj_edges_flat[flat_slot] * B + col,
+                h.slot_dirs_flat[flat_slot],
+            )
         return act
 
     # ------------------------------------------------------------------

@@ -45,7 +45,8 @@ Shared blocks are unlinked in a ``finally`` — a worker raising mid-call
 (or dying outright) cannot leak them.  Worker errors surface as
 :class:`~repro.exceptions.ConfigurationError` naming the failing shard's
 replica range; a dead worker resets the pool so the next call starts
-from fresh processes.
+from fresh processes.  A killed parent runs no teardown: the resource
+tracker reclaims its blocks, and each worker exits after its task.
 
 The process-wide default pool (:func:`default_pool`) is what
 ``EngineConfig.pool=True`` / ``simulate --pool`` route through; it is
@@ -60,6 +61,7 @@ import os
 import sys
 from dataclasses import replace
 from multiprocessing import resource_tracker, shared_memory
+from multiprocessing.connection import wait
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -292,13 +294,18 @@ def _pool_worker(conn, package_root: str) -> None:
     Runs in a child process.  ``package_root`` makes ``repro`` importable
     under spawn/forkserver starts (fork children inherit ``sys.path``).
     Replies are ``("ok", batch_or_None)`` or ``("error", exception)``.
+    The loop also ends when the parent dies: a forked worker inherits the
+    parent's ends of the pipes, so it would never see EOF on its own.
     """
     if package_root not in sys.path:
         sys.path.insert(0, package_root)
     topo_cache: Dict[str, Topology] = {}
     op_caches: Dict[str, Dict] = {}
+    watch = [conn, multiprocessing.parent_process().sentinel]
     while True:
         try:
+            if conn not in wait(watch):
+                break  # the parent died; nobody will read a reply
             task = conn.recv()
         except (EOFError, OSError):
             break
@@ -314,7 +321,10 @@ def _pool_worker(conn, package_root: str) -> None:
                 # unpicklable exception: degrade to its repr
                 conn.send(("error", ConfigurationError(repr(exc))))
             continue
-        conn.send(reply)
+        try:
+            conn.send(reply)
+        except OSError:  # the parent died mid-task
+            break
     conn.close()
 
 

@@ -99,7 +99,12 @@ from .base import (
     resolve_rounding_rngs,
     resolve_tile_size,
 )
-from .batched import _tiles, _token_uniforms
+from .batched import (
+    _excess_moves,
+    _replica_major_slots,
+    _tiles,
+    _UniformBuffer,
+)
 
 __all__ = ["StalenessEngine", "quantize_link_latency"]
 
@@ -291,12 +296,13 @@ class _StalenessCore:
             self.slot_take = np.where(
                 j_rows < degrees[None, :], self.indptr[:-1][None, :] + j_rows, na
             )
-            self.slot_arange = np.arange(n * B, dtype=np.int64)
             self._frac_ext = np.zeros((na + 1, B), dtype=np.float64)
             self.node_tiles = _tiles(n, tile) if tile else [(0, n)]
-            self._planes = np.empty(
-                (self.dmax, min(tile, n) if tile else n, B), dtype=np.float64
-            )
+            rows = min(tile, n) if tile else n
+            self._planes = np.empty((self.dmax, rows, B), dtype=np.float64)
+            self._budget = np.empty((rows, B), dtype=np.float64)
+            self.slot_ids = _replica_major_slots(rows, B)
+            self.uniforms = _UniformBuffer(np.float64)
         # Per-replica LinkOutage arc masks, built lazily per model.
         self._outage_masks: dict = {}
 
@@ -347,48 +353,24 @@ class _StalenessCore:
         ``r``, dispatch ``ceil(r - tol)`` tokens, each landing on
         outgoing arc ``j`` with probability ``{Yhat_j} / c`` and staying
         home otherwise — the batched engine's padded-adjacency dispatch
-        re-indexed onto arcs.  Per-replica uniforms are consumed in
-        node-ascending order (:func:`_token_uniforms`), so tiled and
-        dense dispatches are bit-identical for any tile size.
+        (:func:`~repro.engines.batched._excess_moves`) re-indexed onto
+        arcs.  Tokens are enumerated replica-major, each replica's uniforms
+        one contiguous draw in node-ascending order, so tiled and dense
+        dispatches are bit-identical for any tile size.
         """
         base = np.floor(pos)
         if self.n_arcs == 0:
             return base
-        B, na, dmax = self.B, self.n_arcs, self.dmax
+        B, na = self.B, self.n_arcs
         np.subtract(pos, base, out=self._frac_ext[:na])
-        frac_ext = self._frac_ext
-
-        # Cumulative planes one node tile at a time (dense: one tile).
-        tok_cols: List[np.ndarray] = []
-        for a, bnd in self.node_tiles:
-            k = bnd - a
-            pl = self._planes[:, :k]
-            np.take(frac_ext, self.slot_take[0][a:bnd], axis=0, out=pl[0])
-            for j in range(1, dmax):
-                np.take(frac_ext, self.slot_take[j][a:bnd], axis=0, out=pl[j])
-                np.add(pl[j], pl[j - 1], out=pl[j])
-            c = np.ceil(pl[dmax - 1] - _FRAC_TOL)
-            c_flat = c.ravel()
-            tok_slot = np.repeat(
-                self.slot_arange[: k * B], c_flat.astype(np.int64)
+        tok_cols = [
+            (self.indptr[node] + arc_pos) * B + col
+            for node, col, arc_pos in _excess_moves(
+                self._frac_ext, self.slot_take, self.node_tiles,
+                self._planes, self._budget, _FRAC_TOL,
+                self.rngs, self.slot_ids, self.uniforms,
             )
-            if tok_slot.size == 0:
-                continue
-            target = _token_uniforms(self.rngs, tok_slot, B, np.float64)
-            np.multiply(target, c_flat[tok_slot], out=target)
-            pl_flat = pl.reshape(dmax, -1)
-            pos_idx = (
-                (pl_flat[0][tok_slot] <= target).view(np.uint8).astype(np.int64)
-            )
-            for j in range(1, dmax):
-                pos_idx += pl_flat[j][tok_slot] <= target
-            moved = np.flatnonzero(pos_idx < dmax)
-            if moved.size:
-                tok_moved = tok_slot[moved]
-                node = tok_moved // B
-                col = tok_moved - node * B
-                arc = self.indptr[:-1][node + a] + pos_idx[moved]
-                tok_cols.append(arc * B + col)
+        ]
         if tok_cols:
             extra = np.bincount(np.concatenate(tok_cols), minlength=na * B)
             np.add(base, extra.reshape(na, B), out=base)

@@ -3,18 +3,25 @@
 The pool's contract mirrors the sharded engine's — pooling must be
 *invisible* in the results — plus three properties of its own: workers
 (and their topology/operator caches) persist across calls, shared-memory
-blocks never leak (success, worker error, or worker death), and worker
+blocks never leak (success, worker error, worker death, or a killed
+parent), and worker
 failures surface as :class:`ConfigurationError` naming the failing
 shard's replica range.
 """
 
 import glob
 import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import repro
 from repro import ConfigurationError, point_load, random_load, torus_2d
 from repro.core.dynamic import HotspotArrivals
 from repro.engines import (
@@ -224,6 +231,114 @@ class TestTeardown:
         procs = list(p._procs)
         p.close()
         assert all(not proc.is_alive() for proc in procs)
+
+
+#: A parent that announces its worker pids and every shared block it
+#: creates, then makes one multi-shard pool call of known length: the
+#: arrival model sleeps, so the call lasts ~2.4 s on any machine.
+_KILLED_PARENT = """
+import time
+from multiprocessing import shared_memory
+import numpy as np
+from repro import torus_2d
+from repro.core.dynamic import ArrivalModel
+from repro.engines import EngineConfig, ShardedWorkerPool
+
+class SlowArrivals(ArrivalModel):
+    def deltas(self, topo, round_index, rng):
+        time.sleep(0.1)
+        return np.zeros(topo.n)
+
+class Announced(shared_memory.SharedMemory):
+    def __init__(self, name=None, create=False, size=0):
+        super().__init__(name=name, create=create, size=size)
+        if create:
+            print("block", self.name, flush=True)
+
+if __name__ == "__main__":
+    shared_memory.SharedMemory = Announced
+    topo = torus_2d(6, 6)
+    pool = ShardedWorkerPool(workers=2)
+    pool._ensure_workers()
+    print("workers", *[proc.pid for proc in pool._procs], flush=True)
+    cfg = EngineConfig(rounds=12, workers=2, arrivals=SlowArrivals())
+    pool.run_batch(topo, cfg, np.full((4, topo.n), 10.0), dynamic=True)
+    print("done", flush=True)
+"""
+
+
+def _running(pid):
+    """Whether ``pid`` is a live process (an unreaped zombie is not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] not in "ZX"
+    except FileNotFoundError:
+        return False
+
+
+def _wait_until(cond, seconds=30.0):
+    deadline = time.monotonic() + seconds
+    while not cond() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return cond()
+
+
+@pytest.mark.skipif(
+    not (os.path.isdir("/proc/self") and os.path.isdir("/dev/shm")),
+    reason="needs procfs and /dev/shm",
+)
+class TestKilledParent:
+    """A parent killed mid-call (SIGTERM, then SIGKILL) runs no teardown
+    of its own.  The stdlib resource tracker it started reclaims every
+    block it created once the last process holding the tracker exits, and
+    the orphaned workers exit once their in-flight task ends."""
+
+    @pytest.mark.parametrize("start", ["fork", "spawn"])
+    def test_killed_parent_leaves_no_blocks_or_workers(self, start, tmp_path):
+        script = tmp_path / "parent.py"
+        script.write_text(_KILLED_PARENT)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, REPRO_SHARDED_START=start, PYTHONPATH=src)
+        child = subprocess.Popen(
+            [sys.executable, str(script)], env=env, text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        )
+        lines = []
+        reader = threading.Thread(
+            target=lambda: lines.extend(child.stdout), daemon=True
+        )
+        reader.start()
+        workers = []
+        try:
+            assert _wait_until(
+                lambda: any(ln.startswith("block") for ln in lines)
+            )
+            time.sleep(0.5)  # the workers are now mid-call
+            child.send_signal(signal.SIGTERM)
+            time.sleep(0.2)
+            child.kill()
+            child.wait(timeout=10)
+            reader.join(timeout=10)
+            assert "done\n" not in lines
+            names = [ln.split()[1] for ln in lines if ln.startswith("block")]
+            workers = [
+                int(pid) for ln in lines if ln.startswith("workers")
+                for pid in ln.split()[1:]
+            ]
+            assert names and workers
+            assert _wait_until(
+                lambda: not any(os.path.exists(f"/dev/shm/{nm}") for nm in names)
+            ), "shared blocks outlived the killed parent"
+            assert _wait_until(
+                lambda: not any(_running(pid) for pid in workers)
+            ), "pool workers outlived the killed parent"
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+            for pid in workers:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
 
 
 class TestSpawnStart:
