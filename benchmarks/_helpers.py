@@ -4,6 +4,11 @@ from __future__ import annotations
 
 import json
 import os
+import platform
+import subprocess
+from datetime import datetime, timezone
+from importlib import metadata
+from typing import Optional
 
 import numpy as np
 
@@ -37,8 +42,52 @@ def _jsonable(value):
     return value
 
 
+def _version(dist: str) -> Optional[str]:
+    try:
+        return metadata.version(dist)
+    except metadata.PackageNotFoundError:
+        return None
+
+
+def _git(*args: str) -> Optional[str]:
+    """``git <args>`` output in the repo root, ``None`` outside a checkout."""
+    try:
+        out = subprocess.run(
+            ["git", *args], cwd=REPO_ROOT, capture_output=True,
+            text=True, timeout=20, check=True,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return out.stdout.strip()
+
+
+def provenance() -> dict:
+    """Where a bench record came from: the commit (``None`` outside a git
+    checkout) and whether tracked files differed from it, when (UTC), how
+    many cores the process may use, and the runtime/library versions
+    (``cffi`` is ``None`` when not installed).  Two points of a perf
+    trajectory are comparable only with this."""
+    sha = _git("rev-parse", "HEAD") or None
+    status = _git("status", "--porcelain", "--untracked-files=no") if sha else None
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cores = os.cpu_count()
+    return {
+        "git_sha": sha,
+        "git_dirty": None if status is None else bool(status),
+        "utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "usable_cores": cores,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": _version("scipy"),
+        "cffi": _version("cffi"),
+    }
+
+
 def write_bench_json(name: str, payload: dict) -> str:
-    """Write one machine-readable bench summary to ``BENCH_<name>.json``.
+    """Write one machine-readable bench summary to ``BENCH_<name>.json``,
+    stamped with a ``provenance`` key (:func:`provenance`).
 
     Every bench routes its summary through this helper so downstream PRs
     (and the CI artifact upload) get a uniform perf trajectory at the repo
@@ -46,6 +95,9 @@ def write_bench_json(name: str, payload: dict) -> str:
     """
     path = os.path.join(REPO_ROOT, f"BENCH_{name}.json")
     with open(path, "w") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
+        json.dump(
+            _jsonable({**payload, "provenance": provenance()}),
+            fh, indent=2, sort_keys=True,
+        )
         fh.write("\n")
     return path

@@ -123,6 +123,12 @@ _KNOWN_ROUNDINGS = (
 )
 
 
+def _rows(a: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``a[idx]`` along axis 0, written into ``out``.  ``mode="clip"``
+    only skips the range check's temporary: every index is in range."""
+    return np.take(a, idx, axis=0, out=out, mode="clip")
+
+
 def quantize_link_latency(latency, policy: str, m_edges: int) -> np.ndarray:
     """Quantise per-edge latencies into integer round buckets.
 
@@ -240,23 +246,30 @@ class _StalenessCore:
         Lb = 2 * self.D + 1
         self.La = La
         rows_a = np.arange(La, dtype=np.int64)[:, None]
-        self.view_idx = (rows_a - self.d_arc[None, :]) % La
-        self.ship_slot = (rows_a + self.d_arc[None, :]) % La
+        # Flat (La, n_arcs) row tables into the rings viewed as
+        # (La * rows, B) planes, so a round's view gather and shipment
+        # scatter are each one axis-0 take/put.
+        self._view_rows = ((rows_a - self.d_arc) % La) * n + self.arc_dst
+        self._ship_rows = ((rows_a + self.d_arc) % La) * na + np.arange(na)
         rows_b = np.arange(Lb, dtype=np.int64)[:, None]
         self.bounce_slot = (rows_b + 2 * self.d_arc[None, :]) % Lb
-        self._arc_ids = np.arange(na, dtype=np.int64)
 
         # -- state planes ----------------------------------------------
         #: Announce ring: A[r % La] is round r's normalised-load plane.
-        self.A = np.zeros((La, n, B), dtype=np.float64)
-        #: Construction-time bootstrap view (the setup Hello exchange):
-        #: a node that has not yet heard a d-bucket neighbour computes on
-        #: this, exactly like the event engine's view bootstrap.
-        self.A_init = self.loads / self.speeds[:, None]
+        #: Every slot starts as the construction-time view (the setup
+        #: Hello exchange); slot ``(r - d) % La`` is first written at round
+        #: ``r - d``, so a node that has not yet heard a d-bucket neighbour
+        #: computes on the bootstrap view, like the event engine.
+        self.A = np.empty((La, n, B), dtype=np.float64)
+        self.A[:] = self.loads / self.speeds[:, None]
+        self._A_flat = self.A.reshape(La * n, B)
         #: Shipment ring: S[r % La, a] holds the tokens arriving on arc
         #: ``a`` at round r (written once per arc per round — slots are
-        #: provably consumed and zeroed before reuse).
+        #: provably consumed and zeroed before reuse).  With every bucket
+        #: at 0 a round's shipments are its deliveries: the ring stays
+        #: empty and untouched.
         self.S = np.zeros((La, na, B), dtype=np.float64)
+        self._S_flat = self.S.reshape(La * na, B)
         #: Bounce ring (faulted shipments, 2d round trip); only faults
         #: populate it, so fault-free runs skip the allocation.
         self.bounce = (
@@ -281,6 +294,24 @@ class _StalenessCore:
         self._stale_sum = 0
         self._stale_count = 0
         self.max_staleness = 0
+
+        # -- per-round scratch, allocated once: every round op writes
+        # into these with out= ----------------------------------------
+        #: Delayed views; later the SOS momentum term, the unbiased-edge
+        #: uniforms and the reverse-arc deliveries.
+        self._view = np.empty((na, B), dtype=np.float64)
+        #: Gradient, then the schedule F (and rounding scratch once the
+        #: sign masks below hold all that is left of F).
+        self._sched = np.empty((na, B), dtype=np.float64)
+        #: Positive part of F, rounded in place into the shipped amounts.
+        self._amt = np.empty((na, B), dtype=np.float64)
+        self._gt = np.empty((na, B), dtype=bool)  # F > 0
+        self._eq = np.empty((na, B), dtype=bool)  # F == 0
+        self._lt = np.empty((na, B), dtype=bool)  # F < 0
+        self._mask = np.empty((na, B), dtype=bool)
+        self._edge_amt = np.empty((self.m, B), dtype=np.float64)
+        self._edge_mask = np.empty((self.m, B), dtype=bool)
+        self._node_sum = np.empty((n, B), dtype=np.float64)
 
         # -- segment-sum plumbing (arc -> source-node reduction) -------
         if na:
@@ -311,10 +342,9 @@ class _StalenessCore:
         """Sum arc values into their source node: ``out[i] = sum over
         node i's outgoing arcs`` — a sequential within-segment fold, the
         node-order accumulation of the per-node engines (exact for the
-        integral amounts every deterministic rounding produces)."""
-        if self.n_arcs == 0:
-            return np.zeros((self.n, x.shape[1]), dtype=np.float64)
-        out = np.add.reduceat(x, self._red_idx, axis=0)
+        integral amounts every deterministic rounding produces).  Writes
+        into, and returns, the persistent ``(n, B)`` node plane."""
+        out = np.add.reduceat(x, self._red_idx, axis=0, out=self._node_sum)
         if self._empty_rows is not None:
             out[self._empty_rows] = 0.0
         return out
@@ -323,31 +353,37 @@ class _StalenessCore:
     def _round_positive(self, F: np.ndarray) -> np.ndarray:
         """Round the positive scheduled flows to shipped amounts.
 
-        Returns an ``(n_arcs, B)`` plane that is zero wherever
-        ``F <= 0`` (only the positive endpoint of an arc is a sender).
-        The deterministic branches are bit-identical to the node-local
-        ``math.floor``/``np.rint``/``math.ceil`` on positive floats.
+        Returns the ``(n_arcs, B)`` amount plane, which is ``+0.0``
+        wherever ``F <= 0`` (only the positive endpoint of an arc is a
+        sender).  The deterministic branches are bit-identical to the
+        node-local ``math.floor``/``np.rint``/``math.ceil`` on positive
+        floats.  Expects ``self._gt == (F > 0)``; uses the view and
+        schedule planes as scratch, so ``F`` is dead afterwards.
         """
-        pos = np.where(F > 0.0, F, 0.0)
+        pos = self._amt
+        pos.fill(0.0)
+        np.copyto(pos, F, where=self._gt)
         if self.rounding == "identity":
             return pos
         if self.rounding == "floor":
-            return np.floor(pos)
+            return np.floor(pos, out=pos)
         if self.rounding == "nearest":
-            return np.rint(pos)
+            return np.rint(pos, out=pos)
         if self.rounding == "ceil":
-            return np.ceil(pos)
+            return np.ceil(pos, out=pos)
         if self.rounding == "unbiased-edge":
-            base = np.floor(pos)
-            frac = pos - base
-            u = np.empty_like(pos)
+            base = np.floor(pos, out=self._sched)
+            frac = np.subtract(pos, base, out=pos)
+            # One contiguous draw of n_arcs uniforms per replica.
+            u = self._view.reshape(self.B, self.n_arcs)
             for b, rng in enumerate(self.rngs):
-                u[:, b] = rng.random(self.n_arcs)
-            return np.add(base, u < frac, out=base)
+                rng.random(out=u[b])
+            return np.add(base, np.less(u.T, frac, out=self._mask), out=pos)
         return self._randomized_excess(pos)
 
     def _randomized_excess(self, pos: np.ndarray) -> np.ndarray:
-        """The paper's excess-token rounding over the outgoing arcs.
+        """The paper's excess-token rounding over the outgoing arcs, in
+        place on ``pos``.
 
         Floor every positive flow, pool each sender's fractional parts
         ``r``, dispatch ``ceil(r - tol)`` tokens, each landing on
@@ -358,22 +394,20 @@ class _StalenessCore:
         one contiguous draw in node-ascending order, so tiled and dense
         dispatches are bit-identical for any tile size.
         """
-        base = np.floor(pos)
         if self.n_arcs == 0:
-            return base
-        B, na = self.B, self.n_arcs
-        np.subtract(pos, base, out=self._frac_ext[:na])
-        tok_cols = [
-            (self.indptr[node] + arc_pos) * B + col
-            for node, col, arc_pos in _excess_moves(
-                self._frac_ext, self.slot_take, self.node_tiles,
-                self._planes, self._budget, _FRAC_TOL,
-                self.rngs, self.slot_ids, self.uniforms,
-            )
-        ]
-        if tok_cols:
-            extra = np.bincount(np.concatenate(tok_cols), minlength=na * B)
-            np.add(base, extra.reshape(na, B), out=base)
+            return np.floor(pos, out=pos)
+        frac = self._frac_ext[: self.n_arcs]
+        np.subtract(pos, np.floor(pos, out=frac), out=frac)
+        base = np.floor(pos, out=pos)
+        flat = base.reshape(-1)
+        for node, col, arc_pos in _excess_moves(
+            self._frac_ext, self.slot_take, self.node_tiles,
+            self._planes, self._budget, _FRAC_TOL,
+            self.rngs, self.slot_ids, self.uniforms,
+        ):
+            # One +1 per token onto integral floors: exact, so the add
+            # order cannot matter.
+            np.add.at(flat, (self.indptr[node] + arc_pos) * self.B + col, 1.0)
         return base
 
     # ------------------------------------------------------------------
@@ -449,25 +483,24 @@ class _StalenessCore:
         queue: announce snapshot, delayed-view compute, send deduction,
         faults onto the shipment/bounce rings, then the round's bounce
         and shipment deliveries (*after* the computes — the queue's
-        ``PH_DELIVER > PH_COMPUTE``), then finish."""
+        ``PH_DELIVER > PH_COMPUTE``), then finish.
+
+        Fault-free rounds allocate no plane: every op writes into the
+        scratch planes built at construction (token-dispatch arrays and
+        ufunc buffers are the only transient allocations)."""
         r = self.round_index
-        n, B, na = self.n, self.B, self.n_arcs
+        na = self.n_arcs
         slot = r % self.La
 
         # Phase 0 — announce: snapshot this round's normalised loads.
-        xn = self.loads / self.speeds[:, None]
-        self.A[slot] = xn
+        xn = np.divide(self.loads, self.speeds[:, None], out=self.A[slot])
 
         if na == 0:
             self.round_index = r + 1
             return
 
         # Phase 2 — compute, on views exactly d rounds stale.
-        V = self.A[self.view_idx[slot], self.arc_dst]
-        if r < self.D:
-            boot = self.d_arc > r
-            if boot.any():
-                V[boot] = self.A_init[self.arc_dst[boot]]
+        V = _rows(self._A_flat, self._view_rows[slot], self._view)
         s = np.minimum(self.d_arc, r + 1)
         self._stale_sum += int(s.sum())
         self._stale_count += na
@@ -475,46 +508,41 @@ class _StalenessCore:
         if mx > self.max_staleness:
             self.max_staleness = mx
 
-        G = self.alpha_arc[:, None] * (xn[self.arc_src] - V)
+        F = _rows(xn, self.arc_src, self._sched)
+        np.subtract(F, V, out=F)
+        np.multiply(F, self.alpha_arc[:, None], out=F)  # the gradient G
         if self.scheme == "sos" and r > 0:
             sos_cols = (self.switch_rounds < 0) | (r < self.switch_rounds)
-            if sos_cols.all():
-                F = self.bm1[None, :] * self.P + self.betas[None, :] * G
-            elif sos_cols.any():
-                # Select whole expressions per column (never blend with a
-                # beta of 1.0 — 0.0 * P + G can flip signed zeros).
-                F = np.where(
-                    sos_cols[None, :],
-                    self.bm1[None, :] * self.P + self.betas[None, :] * G,
-                    G,
-                )
-            else:
-                F = G
-        else:
-            F = G
+            if sos_cols.any():
+                # F = (beta - 1) P + beta G on the SOS columns only; the
+                # switched columns keep G whole (never blend with a beta
+                # of 1.0 — 0.0 * P + G can flip signed zeros).
+                cols = True if sos_cols.all() else sos_cols
+                momentum = np.multiply(self.P, self.bm1, out=V)
+                np.multiply(F, self.betas, out=F, where=cols)
+                np.add(momentum, F, out=F, where=cols)
 
+        gt = np.greater(F, 0.0, out=self._gt)
+        eq = np.equal(F, 0.0, out=self._eq)
+        lt = np.less(F, 0.0, out=self._lt)
         amt = self._round_positive(F)
-        emitted = (F > 0.0) & (amt != 0.0)
 
         # Compute-side prev_flow writes: senders remember the rounded
         # amount (even a zero one), exact-zero schedules reset the slot,
         # negative schedules wait for the transfer (or its absence).
-        np.copyto(self.P, amt, where=F > 0.0)
-        np.copyto(self.P, 0.0, where=F == 0.0)
+        np.copyto(self.P, amt, where=gt)
+        np.copyto(self.P, 0.0, where=eq)
 
         # Engine-side per-edge flow record; the higher endpoint computes
-        # later in node order, so its write wins.
-        F_lo, F_hi = F[self.arc_of_lo], F[self.arc_of_hi]
-        np.copyto(
-            self.E,
-            np.where(F_lo > 0.0, amt[self.arc_of_lo], 0.0),
-            where=F_lo >= 0.0,
-        )
-        np.copyto(
-            self.E,
-            np.where(F_hi > 0.0, -amt[self.arc_of_hi], 0.0),
-            where=F_hi >= 0.0,
-        )
+        # later in node order, so its write wins.  ``amt`` is +0.0 where
+        # F <= 0, so the lower endpoint writes ``amt`` wherever F >= 0.
+        e_amt, e_mask = self._edge_amt, self._edge_mask
+        lo, hi = self.arc_of_lo, self.arc_of_hi
+        ge = np.logical_or(gt, eq, out=self._mask)
+        np.copyto(self.E, _rows(amt, lo, e_amt), where=_rows(ge, lo, e_mask))
+        np.negative(_rows(amt, hi, e_amt), out=e_amt)
+        np.copyto(self.E, e_amt, where=_rows(gt, hi, e_mask))
+        np.copyto(self.E, 0.0, where=_rows(eq, hi, e_mask))
 
         # Send phase: each sender deducts its round total in one subtract.
         np.subtract(self.loads, self._segment_sum(amt), out=self.loads)
@@ -522,58 +550,68 @@ class _StalenessCore:
         # Faults: dropped shipments leave the shipment ring for the
         # bounce ring (a 2d round trip back to the sender).
         self.in_flight_amount += amt.sum(axis=0)
-        self.in_flight_messages += emitted.sum(axis=0)
-        ship = amt
+        emitted = np.not_equal(amt, 0.0, out=self._mask)
+        self.in_flight_messages += np.count_nonzero(emitted, axis=0)
         if self.fault_models is not None:
             dropped = self._fault_dropped(r, amt, emitted)
             if dropped.any():
-                ship = np.where(dropped, 0.0, amt)
                 rows, cols = np.nonzero(dropped)
                 self.bounce[
                     self.bounce_slot[r % self.bounce.shape[0], rows], rows, cols
                 ] = amt[rows, cols]
+                np.copyto(amt, 0.0, where=dropped)
 
         # Ship: each arc's tokens land d rounds out (d = 0 lands in this
         # round's slot, read below — after the computes, like the queue).
-        self.S[self.ship_slot[slot], self._arc_ids] = ship
+        # With every bucket at 0 the round's shipments are its deliveries.
+        if self.D == 0:
+            arr = amt
+        else:
+            self._S_flat[self._ship_rows[slot]] = amt
+            arr = self.S[slot]
 
         # Phase 3 — deliveries due this round.
-        arr = self.S[slot].copy()
-        self.S[slot] = 0.0
-
         if self.bounce is not None:
-            slot_b = r % self.bounce.shape[0]
-            bn = self.bounce[slot_b].copy()
-            self.bounce[slot_b] = 0.0
+            bn = self.bounce[r % self.bounce.shape[0]]
             if bn.any():
                 # Bounces first: they were pushed in earlier rounds, so
                 # they carry earlier event seqs than this round's
                 # deliveries (a same-edge reverse delivery overwrites the
                 # bounce's zero below, matching the queue).
+                back = np.not_equal(bn, 0.0, out=self._mask)
                 np.add(self.loads, self._segment_sum(bn), out=self.loads)
-                np.copyto(self.P, 0.0, where=bn != 0.0)
-                rows, cols = np.nonzero(bn)
+                np.copyto(self.P, 0.0, where=back)
+                rows, cols = np.nonzero(back)
                 self.E[self.arc_edge[rows], cols] = 0.0
-                counts = (bn != 0.0).sum(axis=0)
+                counts = np.count_nonzero(back, axis=0)
                 self.bounced_count += counts
                 self.in_flight_messages -= counts
                 self.in_flight_amount -= bn.sum(axis=0)
+                bn.fill(0.0)
 
-        arr_rev = arr[self.rev]
-        has_arr = arr.any()
-        if has_arr:
+        if arr.any():
             # Delivery: arc (j -> i) credits i — which is the source of
             # the reverse arc — and i remembers the edge's flow as
             # negative-received.
+            arr_rev = _rows(arr, self.rev, self._view)
             np.add(self.loads, self._segment_sum(arr_rev), out=self.loads)
-            np.copyto(self.P, -arr_rev, where=arr_rev != 0.0)
-            counts = (arr != 0.0).sum(axis=0)
+            got = np.not_equal(arr_rev, 0.0, out=self._mask)
+            counts = np.count_nonzero(got, axis=0)
             self.delivered_count += counts
             self.in_flight_messages -= counts
             self.in_flight_amount -= arr.sum(axis=0)
-
-        # Phase 4 — finish: zero remembered flows on quiet incoming arcs.
-        np.copyto(self.P, 0.0, where=(F < 0.0) & (arr_rev == 0.0))
+            np.copyto(self.P, np.negative(arr_rev, out=arr_rev), where=got)
+            # Phase 4 — finish: zero remembered flows on quiet incoming
+            # arcs.
+            np.copyto(
+                self.P, 0.0,
+                where=np.logical_and(lt, np.logical_not(got, out=got), out=got),
+            )
+        else:
+            # Phase 4 with nothing delivered: every incoming arc is quiet.
+            np.copyto(self.P, 0.0, where=lt)
+        if self.D:
+            arr.fill(0.0)  # the ring slot is consumed
         self.round_index = r + 1
 
     # ------------------------------------------------------------------
@@ -611,6 +649,8 @@ class _DynamicStalenessHandle:
     models: List[ArrivalModel]
     rngs: List[np.random.Generator]
     tables: List[DynamicRecordTable]
+    last_min_transient: np.ndarray
+    last_traffic: np.ndarray
     pending: Tuple[np.ndarray, np.ndarray, np.ndarray] = field(
         default_factory=lambda: (np.zeros(0), np.zeros(0), np.zeros(0))
     )
@@ -792,6 +832,8 @@ class StalenessEngine(Engine):
                     DynamicRecordTable(max(config.rounds, 1) + 1)
                     for _ in range(B)
                 ],
+                last_min_transient=np.empty(B, dtype=np.float64),
+                last_traffic=np.empty(B, dtype=np.float64),
             )
 
         scheme0 = (
@@ -890,37 +932,73 @@ class StalenessEngine(Engine):
         )
 
     # ------------------------------------------------------------------
-    def step(self, handle) -> StepBatch:
-        if isinstance(handle, _DynamicStalenessHandle):
-            return self._step_dynamic(handle)
+    def _advance(self, handle, want_info: bool) -> None:
+        """One round for every replica, then its records.
+
+        ``want_info`` additionally computes the round's per-replica
+        transient minima and traffic into the handle (needed on record
+        rounds, the final round and protocol-level ``step()`` calls);
+        the whole-batch loops skip them elsewhere, like the batched
+        engine.  Dynamic records carry neither.
+        """
+        dynamic = isinstance(handle, _DynamicStalenessHandle)
+        if dynamic and not handle.injected:
+            self._inject(handle)
         core = handle.core
         topo = handle.topo
-        before = core.loads.copy()
+        before = core.loads.copy() if want_info else None
         core.step()
         r = core.round_index
-        record = r % handle.config.record_every == 0
-        switched = np.empty(core.B, dtype=bool)
-        for b in range(core.B):
-            flows_b = np.ascontiguousarray(core.E[:, b])
-            transients = transient_loads(
-                topo, np.ascontiguousarray(before[:, b]), flows_b
-            )
-            handle.last_min_transient[b] = float(transients.min())
-            handle.last_traffic[b] = float(np.abs(flows_b).sum())
-            switched[b] = (
-                handle.switch_rounds[b] == r and handle.config.scheme == "sos"
-            )
-            if record:
+        if want_info:
+            for b in range(core.B):
+                flows_b = np.ascontiguousarray(core.E[:, b])
+                transients = transient_loads(
+                    topo, np.ascontiguousarray(before[:, b]), flows_b
+                )
+                handle.last_min_transient[b] = float(transients.min())
+                handle.last_traffic[b] = float(np.abs(flows_b).sum())
+        if dynamic:
+            arrived, departed, clamped = handle.pending
+            for b in range(core.B):
+                loads_b = np.ascontiguousarray(core.loads[:, b])
+                handle.tables[b].append(
+                    round_index=r,
+                    total_load=float(loads_b.sum()),
+                    arrived=float(arrived[b]),
+                    departed=float(departed[b]),
+                    clamped=float(clamped[b]),
+                    max_minus_avg=max_minus_average(loads_b),
+                    max_local_diff=max_local_difference(topo, loads_b),
+                    potential_per_node=normalized_potential(loads_b),
+                )
+            handle.injected = False
+        elif r % handle.config.record_every == 0:
+            for b in range(core.B):
                 self._record(
                     handle,
                     b,
                     np.ascontiguousarray(core.loads[:, b]),
-                    flows_b,
+                    np.ascontiguousarray(core.E[:, b]),
                     r,
                     self._scheme_name(
                         handle.config, handle.switch_rounds[b], r
                     ),
                 )
+
+    def step(self, handle) -> StepBatch:
+        self._advance(handle, want_info=True)
+        core = handle.core
+        r = core.round_index
+        if isinstance(handle, _DynamicStalenessHandle):
+            switched = np.zeros(core.B, dtype=bool)
+        else:
+            switched = np.array(
+                [
+                    sw == r and handle.config.scheme == "sos"
+                    for sw in handle.switch_rounds
+                ],
+                dtype=bool,
+            )
         return StepBatch(
             round_index=r,
             loads=core.loads.T.copy(),
@@ -928,45 +1006,6 @@ class StalenessEngine(Engine):
             min_transient=handle.last_min_transient.copy(),
             traffic=handle.last_traffic.copy(),
             switched=switched,
-        )
-
-    def _step_dynamic(self, handle: _DynamicStalenessHandle) -> StepBatch:
-        if not handle.injected:
-            self._inject(handle)
-        core = handle.core
-        topo = handle.topo
-        before = core.loads.copy()
-        core.step()
-        r = core.round_index
-        arrived, departed, clamped = handle.pending
-        min_transient = np.empty(core.B, dtype=np.float64)
-        traffic = np.empty(core.B, dtype=np.float64)
-        for b in range(core.B):
-            flows_b = np.ascontiguousarray(core.E[:, b])
-            transients = transient_loads(
-                topo, np.ascontiguousarray(before[:, b]), flows_b
-            )
-            min_transient[b] = float(transients.min())
-            traffic[b] = float(np.abs(flows_b).sum())
-            loads_b = np.ascontiguousarray(core.loads[:, b])
-            handle.tables[b].append(
-                round_index=r,
-                total_load=float(loads_b.sum()),
-                arrived=float(arrived[b]),
-                departed=float(departed[b]),
-                clamped=float(clamped[b]),
-                max_minus_avg=max_minus_average(loads_b),
-                max_local_diff=max_local_difference(topo, loads_b),
-                potential_per_node=normalized_potential(loads_b),
-            )
-        handle.injected = False
-        return StepBatch(
-            round_index=r,
-            loads=core.loads.T.copy(),
-            flows=core.E.T.copy(),
-            min_transient=min_transient,
-            traffic=traffic,
-            switched=np.zeros(core.B, dtype=bool),
         )
 
     # ------------------------------------------------------------------
@@ -1027,13 +1066,19 @@ class StalenessEngine(Engine):
     # Whole-batch entry points for the sharded engine's column shards.
     def run_batch(self, topo, config, loads) -> RecordBatch:
         handle = self.prepare(topo, config, loads)
-        for _ in range(config.rounds):
-            self.step(handle)
+        for r in range(1, config.rounds + 1):
+            self._advance(
+                handle,
+                want_info=r % config.record_every == 0 or r == config.rounds,
+            )
         return self.metrics(handle)
 
     def run_dynamic_batch(self, topo, config, loads) -> RecordBatch:
+        if config.arrivals is None:
+            raise ConfigurationError(
+                "run_dynamic() needs arrival models (set config.arrivals)"
+            )
         handle = self.prepare(topo, config, loads)
         for _ in range(config.rounds):
-            self.arrive(handle)
-            self.step(handle)
+            self._advance(handle, want_info=False)
         return self.metrics(handle)
