@@ -35,7 +35,17 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Type,
+)
 
 import numpy as np
 
@@ -59,6 +69,8 @@ __all__ = [
     "RecordBatch",
     "Engine",
     "ENGINES",
+    "FEATURES",
+    "check_supported",
     "make_engine",
     "register_engine",
     "make_switch_policy",
@@ -68,18 +80,18 @@ __all__ = [
     "parse_faults_spec",
     "parse_latency_spec",
     "plan_shards",
-    "reject_async_only",
-    "reject_batched_only",
-    "reject_network_only",
-    "reject_sharded_only",
+    "replica_beta",
+    "resolve_arrival_keys",
     "resolve_arrival_models",
     "resolve_arrival_rngs",
     "resolve_record_fields",
+    "resolve_replica_keys",
     "resolve_replica_params",
     "resolve_rounding_rngs",
     "resolve_tile_size",
     "resolve_workers",
     "rounding_stream",
+    "scheme_name",
     "uniform_plane_value",
 ]
 
@@ -312,6 +324,9 @@ class EngineConfig:
 
     ``seed`` is a base seed; replica ``b`` derives an independent stream
     from it, so runs are reproducible for any batch size.
+
+    Which backends honour which non-default settings is the capability
+    table :data:`FEATURES` against each backend's ``supports`` set.
     """
 
     scheme: str = "sos"
@@ -330,8 +345,8 @@ class EngineConfig:
     #: ensemble-throughput mode.  Token counts and integral loads stay exact
     #: below 2**24; scheme coefficients are quantised at ~1e-7 relative, so
     #: float32 traces are a valid discrete process of the same family but
-    #: not bit-identical to the float64 ones.  Only the batched backend
-    #: accepts float32.
+    #: not bit-identical to the float64 ones.  Batched and sharded engines
+    #: only.
     precision: str = "float64"
     #: Dynamic-workload arrival hook: ``None`` (static run), one
     #: :class:`~repro.core.dynamic.ArrivalModel` (or spec string, see
@@ -362,8 +377,8 @@ class EngineConfig:
     #: Excluded columns are stored as NaN.  Dropping ``min_transient`` and
     #: ``round_traffic`` lets the batched engine skip the per-round
     #: transient/traffic kernels — and is the precondition for the
-    #: closed-form ``identity``-rounding fast path.  Batched engine only;
-    #: the per-replica backends always record every column.
+    #: closed-form ``identity``-rounding fast path.  Batched and sharded
+    #: engines only; the per-replica backends always record every column.
     record_fields: Optional[Sequence[str]] = None
     #: Closed-form continuous fast path of the batched engine: ``"auto"``
     #: (default) engages it whenever eligible — ``identity`` rounding, no
@@ -394,7 +409,7 @@ class EngineConfig:
     #: from ``memory_budget_mb``.  Tiled runs are bit-identical to dense
     #: runs whenever the summed quantities are integral (every discrete
     #: rounding); the continuous ``identity`` process agrees to accumulation
-    #: accuracy.  Batched engine only.
+    #: accuracy.  Batched, sharded and staleness engines.
     tile_size: Any = None
     #: Memory budget (MiB) for the *tiled scratch planes* when
     #: ``tile_size="auto"`` — the bound covers the per-tile node scratch and
@@ -404,7 +419,7 @@ class EngineConfig:
     #: ``"summary"`` streams records through running min/max/sum/last
     #: aggregates (O(fields x B) memory regardless of round count) and
     #: returns single-row tables whose ``summary()`` carries the
-    #: aggregates.  Batched engine only.
+    #: aggregates.  Batched and sharded engines only.
     record_mode: str = "table"
     #: Per-replica *rounding* stream keys of the vectorised backends:
     #: replica ``b`` draws its rounding randomness from
@@ -412,8 +427,8 @@ class EngineConfig:
     #: Like ``arrival_seeds``, this pins streams to key *values*, so a
     #: replica's trajectory does not depend on its batch position — the
     #: property the sharded engine uses to stay bit-identical to the
-    #: single-process batched engine for any shard assignment.  Batched and
-    #: sharded engines only.
+    #: single-process batched engine for any shard assignment.  Batched,
+    #: sharded and staleness engines.
     replica_keys: Optional[Sequence[int]] = None
     #: Worker-process count of the sharded engine: ``None``/``"auto"``
     #: derives it from the usable CPU count (capped at the replica count),
@@ -447,13 +462,16 @@ class EngineConfig:
     #: scalar forces that latency in rounds on every link, and a spec string
     #: draws per-link latencies from a distribution seeded by ``seed`` —
     #: ``"fixed:X"``, ``"uniform:LO,HI"`` or ``"exp:MEAN"`` (see
-    #: :func:`parse_latency_spec`).  Async engine only — every other backend
-    #: rejects a non-default value rather than silently running synchronous.
+    #: :func:`parse_latency_spec`).  Async, staleness and sharded engines
+    #: (the latter two quantise it into round buckets, see
+    #: ``latency_buckets``); every other backend refuses it rather than
+    #: silently running synchronous.
     latency_model: Any = None
     #: Bounded-staleness gate of the async engine: a node may not start
     #: round ``r`` until every neighbour's last heard-from round is at least
     #: ``r - 1 - max_skew``.  ``None`` (default) means unbounded skew; ``0``
-    #: recovers lockstep neighbourhood synchrony.  Async engine only.
+    #: recovers lockstep neighbourhood synchrony.  Async, staleness and
+    #: sharded engines.
     max_skew: Optional[int] = None
     #: Latency-quantisation policy of the staleness engine: how fractional
     #: per-link latencies map onto the integer round buckets that index its
@@ -463,13 +481,14 @@ class EngineConfig:
     #: ``"nearest"`` round down / to the closest bucket, ``"exact"``
     #: refuses non-integer latencies outright (the bit-identity contract
     #: vs the async engine only holds where quantisation is a no-op).
-    #: Staleness engine only — other backends reject a non-default value.
+    #: Staleness engine, directly or as the sharded engine's workers.
     latency_buckets: str = "ceil"
     #: Fault model applied to token transfers
     #: (:class:`~repro.network.faults.FaultModel`): drops bounce the tokens
     #: back to the sender, so load is conserved.  The engine binds any
     #: unseeded model to a generator derived from ``seed``, so fault
-    #: schedules reproduce run-to-run.  Network and async engines only.
+    #: schedules reproduce run-to-run.  Network, async, staleness and
+    #: sharded engines (the last two as fault masks on shipment planes).
     faults: Any = None
     #: Topology-churn schedule (:class:`~repro.core.churn.ChurnSchedule`,
     #: a spec string — see :func:`~repro.core.churn.parse_churn_spec` —
@@ -478,8 +497,8 @@ class EngineConfig:
     #: nodes hand their tokens to surviving neighbours (or freeze them
     #: until recovery, per the schedule's policy), so ``sum(loads)`` is
     #: conserved over the full node universe under any schedule.
-    #: Supported by the reference, batched, network and async engines
-    #: (the sharded engine and the compiled kernel tier reject it);
+    #: Supported by the reference, batched, sharded, network and async
+    #: engines (not by staleness, sessions or the compiled kernel tier);
     #: requires default speeds/alphas/targets and is mutually exclusive
     #: with switch policies, replica_params, float32, tiling, streaming
     #: summaries and trimmed record fields.
@@ -695,6 +714,29 @@ def resolve_arrival_models(spec, n_replicas: Optional[int] = None) -> Optional[L
     return models
 
 
+def _stream_keys(keys, n_replicas: int, what: str) -> List[int]:
+    """Per-replica stream keys: ``keys`` as ints (default ``0..B-1``),
+    refusing a sequence of any other length than the batch."""
+    if keys is None:
+        return list(range(n_replicas))
+    keys = [int(k) for k in keys]
+    if len(keys) != n_replicas:
+        raise ConfigurationError(f"{len(keys)} {what} for {n_replicas} replicas")
+    return keys
+
+
+def resolve_replica_keys(config: "EngineConfig", n_replicas: int) -> List[int]:
+    """Replica ``b``'s rounding-stream key: ``config.replica_keys[b]``
+    (default ``b``)."""
+    return _stream_keys(config.replica_keys, n_replicas, "replica_keys")
+
+
+def resolve_arrival_keys(config: "EngineConfig", n_replicas: int) -> List[int]:
+    """Replica ``b``'s arrival-stream key: ``config.arrival_seeds[b]``
+    (default ``b``)."""
+    return _stream_keys(config.arrival_seeds, n_replicas, "arrival_seeds")
+
+
 def resolve_arrival_rngs(
     config: "EngineConfig", n_replicas: int
 ) -> List[np.random.Generator]:
@@ -706,15 +748,7 @@ def resolve_arrival_rngs(
     """
     from ..core.dynamic import arrival_streams
 
-    keys = config.arrival_seeds
-    if keys is None:
-        return arrival_streams(config.seed, n_replicas)
-    keys = [int(k) for k in keys]
-    if len(keys) != n_replicas:
-        raise ConfigurationError(
-            f"{len(keys)} arrival_seeds for {n_replicas} replicas"
-        )
-    return arrival_streams(config.seed, keys)
+    return arrival_streams(config.seed, resolve_arrival_keys(config, n_replicas))
 
 
 def rounding_stream(seed: int, replica: int = 0) -> np.random.Generator:
@@ -743,16 +777,32 @@ def resolve_rounding_rngs(
     ``key_b = config.replica_keys[b]`` (default ``b``) — independent of the
     arrival streams and of the batch size.
     """
-    keys = config.replica_keys
-    if keys is None:
-        keys = range(n_replicas)
-    else:
-        keys = [int(k) for k in keys]
-        if len(keys) != n_replicas:
-            raise ConfigurationError(
-                f"{len(keys)} replica_keys for {n_replicas} replicas"
-            )
-    return [rounding_stream(config.seed, k) for k in keys]
+    return [
+        rounding_stream(config.seed, k)
+        for k in resolve_replica_keys(config, n_replicas)
+    ]
+
+
+def replica_beta(config: "EngineConfig", params, b: int) -> float:
+    """Replica ``b``'s SOS ``beta``: its ``replica_params.betas`` entry,
+    else ``config.beta``; ``1.0`` (plain FOS) under ``scheme="fos"``."""
+    if config.scheme != "sos":
+        return 1.0
+    if params is not None and params.betas is not None:
+        return float(params.betas[b])
+    return config.beta
+
+
+def scheme_name(
+    config: "EngineConfig", switch_round: Optional[int], round_index: int
+) -> str:
+    """The scheme a replica records at ``round_index`` under a synchronous
+    ``switch_round`` (``None`` = never switches)."""
+    if config.scheme == "sos" and (
+        switch_round is None or round_index <= switch_round
+    ):
+        return "SecondOrderScheme"
+    return "FirstOrderScheme"
 
 
 def resolve_record_fields(spec) -> Tuple[str, ...]:
@@ -803,98 +853,103 @@ def resolve_tile_size(
     return min(int(spec), n) if int(spec) < n else None
 
 
-def reject_batched_only(config: "EngineConfig", engine_name: str) -> None:
-    """Refuse batched-engine-only config features on per-replica backends.
+#: Refusal hints shared by several features of :data:`FEATURES`.
+_VECTORISED_ONLY = "batched/sharded engines only"
+_ARRAY_ENGINES = "vectorised batched/sharded/staleness engines only"
+_SHARDED_ONLY = "sharded engine only"
+_LATENCY_ONLY = (
+    "event-driven delays: async engine only, or round buckets on "
+    "staleness/sharded"
+)
+_UNSCALED_ALPHAS = "network and staleness nodes use the topology's default alphas"
 
-    The scaling knobs (tiling, streaming summaries, trimmed record fields,
-    batch-wide arrival sampling, forced fast-path tiers, pinned rounding
-    stream keys) are implemented by the vectorised engines; silently
-    ignoring them elsewhere would make cross-engine comparisons lie about
-    what ran.
+#: The capability table: every non-default :class:`EngineConfig` setting
+#: that some backend cannot honour, as ``feature -> (is_set(config),
+#: refusal hint)``.  A backend runs a config only when every feature set
+#: in it is in the backend's ``supports`` set; :func:`check_supported`
+#: refuses the rest in one error instead of letting a backend silently
+#: run something other than what was asked.
+FEATURES: Dict[str, Tuple[Callable[["EngineConfig"], bool], str]] = {
+    "alphas": (lambda c: c.alphas is not None, _UNSCALED_ALPHAS),
+    "precision": (lambda c: c.precision != "float64", _VECTORISED_ONLY),
+    "churn": (
+        lambda c: c.churn is not None,
+        "a mutating topology runs on reference, batched, sharded, network "
+        "and async",
+    ),
+    "replica_params": (
+        lambda c: c.replica_params is not None,
+        "parameter planes need a replica batch; sessions run one replica",
+    ),
+    "replica_params.alpha_scales": (
+        lambda c: getattr(
+            resolve_replica_params(c.replica_params), "alpha_scales", None
+        ) is not None,
+        _UNSCALED_ALPHAS,
+    ),
+    "switch": (
+        lambda c: c.switch is not None and tuple(c.switch)[0] != "fixed",
+        "nodes flip at an agreed round: ('fixed', round) specs only",
+    ),
+    "arrival_sampling": (
+        lambda c: c.arrival_sampling != "stream",
+        "batched engine only: one shared batch stream cannot split across "
+        "replicas or workers bit-identically",
+    ),
+    "tile_size": (lambda c: c.tile_size is not None, _ARRAY_ENGINES),
+    "record_mode": (lambda c: c.record_mode != "table", _VECTORISED_ONLY),
+    "record_fields": (lambda c: c.record_fields is not None, _VECTORISED_ONLY),
+    "fast_path": (
+        lambda c: c.fast_path in ("matmul", "spectral"), _VECTORISED_ONLY
+    ),
+    "replica_keys": (lambda c: c.replica_keys is not None, _ARRAY_ENGINES),
+    "kernel": (lambda c: c.kernel not in ("numpy", "auto"), _VECTORISED_ONLY),
+    "workers": (lambda c: c.workers is not None, _SHARDED_ONLY),
+    "pool": (lambda c: c.pool is not None and c.pool is not False, _SHARDED_ONLY),
+    "latency_model": (lambda c: c.latency_model is not None, _LATENCY_ONLY),
+    "max_skew": (lambda c: c.max_skew is not None, _LATENCY_ONLY),
+    "latency_buckets": (
+        lambda c: c.latency_buckets != "ceil",
+        "staleness engine only, directly or as sharded workers",
+    ),
+    "faults": (
+        lambda c: c.faults is not None,
+        "network/async engines, or fault masks on staleness/sharded",
+    ),
+}
+
+
+def _feature_label(config: "EngineConfig", feature: str) -> str:
+    """``feature`` plus its value when the value is short enough to show."""
+    value = getattr(config, feature, None)
+    if isinstance(value, (str, int, float)):
+        return f"{feature}={value!r}"
+    return feature
+
+
+def check_supported(
+    config: "EngineConfig", name: str, supports: FrozenSet[str]
+) -> "EngineConfig":
+    """Validate ``config`` and refuse every feature set outside ``supports``.
+
+    One :class:`ConfigurationError` names all of them at once, as "the
+    ``name`` engine does not support a, b (hint), c (hint)"; returns the
+    config otherwise.  Refusals that depend on more than the config (the
+    graph, a compiled provider) stay with the backend that meets them.
     """
-    offending = []
-    if config.arrival_sampling != "stream":
-        offending.append(f"arrival_sampling={config.arrival_sampling!r}")
-    if config.tile_size is not None:
-        offending.append(f"tile_size={config.tile_size!r}")
-    if config.record_mode != "table":
-        offending.append(f"record_mode={config.record_mode!r}")
-    if config.record_fields is not None:
-        offending.append("record_fields")
-    if config.fast_path in ("matmul", "spectral"):
-        offending.append(f"fast_path={config.fast_path!r}")
-    if config.replica_keys is not None:
-        offending.append("replica_keys")
-    if config.kernel not in ("numpy", "auto"):
-        offending.append(f"kernel={config.kernel!r}")
-    if offending:
+    config.validate()
+    hints: Dict[str, List[str]] = {}
+    for feature, (is_set, hint) in FEATURES.items():
+        if feature not in supports and is_set(config):
+            hints.setdefault(hint, []).append(_feature_label(config, feature))
+    if hints:
         raise ConfigurationError(
-            f"the {engine_name} engine does not support "
-            + ", ".join(offending)
-            + " (batched/sharded engines only)"
+            f"the {name} engine does not support "
+            + ", ".join(
+                f"{', '.join(labels)} ({hint})" for hint, labels in hints.items()
+            )
         )
-
-
-def reject_sharded_only(config: "EngineConfig", engine_name: str) -> None:
-    """Refuse sharded-engine-only config features on single-process backends.
-
-    ``workers`` and ``pool`` describe a multiprocess execution plan; a
-    backend that cannot honour them must say so instead of silently
-    running one process.
-    """
-    offending = []
-    if config.workers is not None:
-        offending.append(f"workers={config.workers!r}")
-    if config.pool is not None and config.pool is not False:
-        offending.append(f"pool={config.pool!r}")
-    if offending:
-        raise ConfigurationError(
-            f"the {engine_name} engine does not support "
-            + ", ".join(offending)
-            + " (sharded engine only)"
-        )
-
-
-def reject_async_only(config: "EngineConfig", engine_name: str) -> None:
-    """Refuse async-engine-only config features on synchronous backends.
-
-    ``latency_model`` and ``max_skew`` describe an event-driven delivery
-    schedule; a synchronous-round backend that cannot honour them must say
-    so instead of silently running at zero latency.  ``latency_buckets``
-    names the staleness engine's quantisation policy and is refused
-    separately — not even the async engine honours it.
-    """
-    offending = []
-    if config.latency_model is not None:
-        offending.append(f"latency_model={config.latency_model!r}")
-    if config.max_skew is not None:
-        offending.append(f"max_skew={config.max_skew!r}")
-    if offending:
-        raise ConfigurationError(
-            f"the {engine_name} engine does not support "
-            + ", ".join(offending)
-            + " (async engine only)"
-        )
-    if config.latency_buckets != "ceil":
-        raise ConfigurationError(
-            f"the {engine_name} engine does not support "
-            f"latency_buckets={config.latency_buckets!r} "
-            "(staleness engine only)"
-        )
-
-
-def reject_network_only(config: "EngineConfig", engine_name: str) -> None:
-    """Refuse message-passing-only config features on matrix backends.
-
-    ``faults`` intercepts token-transfer messages; the vectorised backends
-    have no messages to intercept and must refuse rather than silently run
-    fault-free.
-    """
-    if config.faults is not None:
-        raise ConfigurationError(
-            f"the {engine_name} engine does not support "
-            f"faults={config.faults!r} (network/async engines only)"
-        )
+    return config
 
 
 def parse_latency_spec(spec):
@@ -1369,6 +1424,9 @@ class Engine:
 
     #: Registry key (``make_engine`` name).
     name: str = ""
+    #: The :data:`FEATURES` this backend honours; :func:`check_supported`
+    #: refuses every other one a config sets.
+    supports: FrozenSet[str] = frozenset()
 
     def prepare(self, topo: Topology, config: EngineConfig, initial_loads):
         """Build a run handle for a batch of replicas."""

@@ -75,10 +75,8 @@ from .base import (
     StepBatch,
     apply_load_scales,
     as_load_batch,
+    check_supported,
     register_engine,
-    reject_async_only,
-    reject_network_only,
-    reject_sharded_only,
     resolve_arrival_models,
     resolve_arrival_rngs,
     resolve_record_fields,
@@ -945,6 +943,13 @@ class BatchedVectorEngine(Engine):
     """All replicas at once through CSR edge-wise numpy kernels."""
 
     name = "batched"
+    #: Every setting but the multiprocess and network-realism ones.
+    supports = frozenset(
+        {"alphas", "precision", "churn", "replica_params",
+         "replica_params.alpha_scales", "switch", "arrival_sampling",
+         "tile_size", "record_mode", "record_fields", "fast_path",
+         "replica_keys", "kernel"}
+    )
 
     #: Optional per-topology operator cache shared across prepare() calls.
     #: Pool workers set this (an ordinary dict) on their engine instance so
@@ -952,14 +957,16 @@ class BatchedVectorEngine(Engine):
     #: rebuilding them; ``None`` (the default) disables caching entirely.
     operator_cache: Optional[Dict] = None
 
-    def prepare(self, topo, config, initial_loads) -> _BatchedHandle:
-        config.validate()
-        reject_sharded_only(config, "batched")
-        reject_async_only(config, "batched")
-        reject_network_only(config, "batched")
+    def _admit(self, config) -> None:
+        """The checks every entry point runs first — the closed-form fast
+        path of :meth:`run_batch` never reaches :meth:`prepare`, and a
+        beta outside ``(0, 2)`` makes its recurrence divergent."""
+        check_supported(config, self.name, self.supports)
         if config.scheme == "sos" and not 0.0 < config.beta < 2.0:
             raise SchemeError(f"beta must be in (0, 2), got {config.beta}")
-        make_rounding(config.rounding)  # validate the key early
+
+    def prepare(self, topo, config, initial_loads) -> _BatchedHandle:
+        self._admit(config)
         if config.fast_path in ("matmul", "spectral"):
             # The closed-form tiers live in the fused run() loop; a forced
             # fast path through the step-by-step protocol would silently run
@@ -969,6 +976,11 @@ class BatchedVectorEngine(Engine):
                 f"fast_path={config.fast_path!r} runs through engine.run(); "
                 "the prepare()/step() protocol is always edge-wise"
             )
+        return self._prepare(topo, config, initial_loads)
+
+    def _prepare(self, topo, config, initial_loads) -> _BatchedHandle:
+        """:meth:`prepare` behind :meth:`_admit` and the protocol guard."""
+        make_rounding(config.rounding)  # validate the key early
         loads = as_load_batch(initial_loads, topo.n)
         params = resolve_replica_params(config.replica_params, loads.shape[0])
         loads = apply_load_scales(loads, params)
@@ -1802,17 +1814,7 @@ class BatchedVectorEngine(Engine):
                 "config has arrival models; dynamic workloads run through "
                 "run_dynamic()"
             )
-        config.validate()
-        # The guards run here as well as in prepare(): the closed-form
-        # fast path never reaches prepare(), and silently ignoring an
-        # async/fault knob there would lie about what ran.
-        reject_async_only(config, "batched")
-        reject_network_only(config, "batched")
-        if config.scheme == "sos" and not 0.0 < config.beta < 2.0:
-            # prepare() enforces this for the edge-wise path; the fast path
-            # never reaches prepare(), and a beta outside (0, 2) makes the
-            # recurrence divergent rather than merely wrong.
-            raise SchemeError(f"beta must be in (0, 2), got {config.beta}")
+        self._admit(config)
         if config.kernel not in ("numpy", "auto"):
             # A forced kernel provider must be resolvable (and discrete)
             # even when the closed-form fast path would bypass the
@@ -1824,7 +1826,7 @@ class BatchedVectorEngine(Engine):
         mode = self._fast_path_mode(topo, config, params)
         if mode is not None:
             return self._run_fast(topo, config, loads, mode, params)
-        h = self.prepare(topo, config, initial_loads)
+        h = self._prepare(topo, config, initial_loads)
         record_every = config.record_every
         for r in range(1, config.rounds + 1):
             record = r % record_every == 0 or r == config.rounds

@@ -49,14 +49,14 @@ from .base import (
     StepBatch,
     apply_load_scales,
     as_load_batch,
+    check_supported,
     parse_faults_spec,
     register_engine,
+    replica_beta,
     resolve_arrival_models,
     resolve_arrival_rngs,
     resolve_replica_params,
-    reject_async_only,
-    reject_batched_only,
-    reject_sharded_only,
+    scheme_name,
 )
 
 __all__ = ["NetworkEngine"]
@@ -119,27 +119,15 @@ class NetworkEngine(Engine):
     """One :class:`SyncNetwork` per replica, driven in lockstep."""
 
     name = "network"
+    #: SyncNetwork nodes derive their alphas from the topology's default
+    #: strategy and flip schemes at an agreed round, so per-edge alphas,
+    #: alpha scales and metric-triggered switches stay out.
+    supports = frozenset({"churn", "replica_params", "faults"})
 
     def prepare(self, topo, config, initial_loads):
-        config.validate()
-        reject_batched_only(config, 'network')
-        reject_sharded_only(config, 'network')
-        self._reject(config)
-        if config.precision != "float64":
-            raise ConfigurationError(
-                "the network engine only supports precision='float64'"
-            )
+        check_supported(config, self.name, self.supports)
         loads = as_load_batch(initial_loads, topo.n)
         params = resolve_replica_params(config.replica_params, loads.shape[0])
-        if params is not None and params.alpha_scales is not None:
-            # SyncNetwork nodes derive their alphas from the topology's
-            # default strategy and expose no override; silently ignoring the
-            # plane would make cross-engine comparisons lie about what ran.
-            raise ConfigurationError(
-                "the network engine does not support "
-                "replica_params.alpha_scales (use the reference or batched "
-                "engine for alpha-scale sweeps)"
-            )
         loads = apply_load_scales(loads, params)
         plan = resolve_churn(topo, config)
         if plan is not None:
@@ -148,15 +136,6 @@ class NetworkEngine(Engine):
             return self._prepare_dynamic(topo, config, loads, params)
         switch_round: Optional[int] = None
         if config.switch is not None:
-            if not (
-                isinstance(config.switch, (tuple, list))
-                and len(config.switch) == 2
-                and config.switch[0] == "fixed"
-            ):
-                raise ConfigurationError(
-                    "the network engine only supports the ('fixed', round) "
-                    f"switch spec, got {config.switch!r}"
-                )
             switch_round = int(config.switch[1])
         speeds = (
             np.asarray(config.speeds, dtype=np.float64)
@@ -171,7 +150,7 @@ class NetworkEngine(Engine):
                 switch_b = round_b if round_b >= 0 else None
             net = self._make_net(
                 topo, config, load,
-                beta=self._replica_beta(config, params, b),
+                beta=replica_beta(config, params, b),
                 switch_round=switch_b,
                 b=b,
             )
@@ -199,13 +178,6 @@ class NetworkEngine(Engine):
             replicas.append(replica)
         return _NetworkHandle(topo=topo, config=config, replicas=replicas)
 
-    def _reject(self, config: EngineConfig) -> None:
-        """Knob-guard hook: the synchronous engine refuses the async-only
-        knobs (``faults`` is accepted — it threads into every replica's
-        network, which binds unseeded models to seed-derived generators).
-        The async subclass overrides this to accept the latency knobs."""
-        reject_async_only(config, self.name)
-
     def _make_net(self, topo, config, load, beta, switch_round, b):
         """Build replica ``b``'s network — the async subclass's hook."""
         return SyncNetwork(
@@ -220,14 +192,6 @@ class NetworkEngine(Engine):
             switch_to_fos_at=switch_round,
         )
 
-    @staticmethod
-    def _replica_beta(config, params, b: int) -> float:
-        if config.scheme != "sos":
-            return 1.0
-        if params is not None and params.betas is not None:
-            return float(params.betas[b])
-        return config.beta
-
     def _prepare_dynamic(
         self, topo, config, loads, params=None
     ) -> _DynamicNetworkHandle:
@@ -240,7 +204,7 @@ class NetworkEngine(Engine):
                 model = ScaledArrivals(model, float(params.arrival_scales[b]))
             net = self._make_net(
                 topo, config, load,
-                beta=self._replica_beta(config, params, b),
+                beta=replica_beta(config, params, b),
                 switch_round=None,
                 b=b,
             )
@@ -277,7 +241,7 @@ class NetworkEngine(Engine):
             load = plan.expand_load(loads[b])
             net = self._make_net(
                 plan.topo0, config, load,
-                beta=self._replica_beta(config, None, b),
+                beta=replica_beta(config, None, b),
                 switch_round=None,
                 b=b,
             )
@@ -428,18 +392,6 @@ class NetworkEngine(Engine):
         )
 
     # ------------------------------------------------------------------
-    def _scheme_name(
-        self,
-        config: EngineConfig,
-        switch_round: Optional[int],
-        round_index: int,
-    ) -> str:
-        if config.scheme == "fos":
-            return "FirstOrderScheme"
-        if switch_round is not None and round_index > switch_round:
-            return "FirstOrderScheme"
-        return "SecondOrderScheme"
-
     def _record(
         self,
         topo: Topology,
@@ -480,7 +432,7 @@ class NetworkEngine(Engine):
                     replica,
                     replica.net.loads(),
                     round_index,
-                    self._scheme_name(handle.config, None, round_index),
+                    scheme_name(handle.config, None, round_index),
                 )
             else:
                 self._record(
@@ -489,7 +441,7 @@ class NetworkEngine(Engine):
                     replica.net.loads(),
                     flows,
                     round_index,
-                    self._scheme_name(
+                    scheme_name(
                         handle.config, replica.switch_round, round_index
                     ),
                 )
@@ -557,7 +509,7 @@ class NetworkEngine(Engine):
                         replica,
                         net.loads(),
                         round_index,
-                        self._scheme_name(handle.config, None, round_index),
+                        scheme_name(handle.config, None, round_index),
                     )
                 else:
                     self._record(
@@ -566,7 +518,7 @@ class NetworkEngine(Engine):
                         net.loads(),
                         net.flows(),
                         round_index,
-                        self._scheme_name(
+                        scheme_name(
                             handle.config, replica.switch_round, round_index
                         ),
                     )

@@ -54,15 +54,12 @@ from .base import (
     StepBatch,
     apply_load_scales,
     as_load_batch,
+    check_supported,
     make_switch_policy,
     register_engine,
     resolve_arrival_models,
     resolve_arrival_rngs,
     resolve_replica_params,
-    reject_async_only,
-    reject_batched_only,
-    reject_network_only,
-    reject_sharded_only,
 )
 
 __all__ = ["ReferenceEngine"]
@@ -207,19 +204,13 @@ class ReferenceEngine(Engine):
     """Per-replica loop over the incremental simulator core."""
 
     name = "reference"
+    supports = frozenset(
+        {"alphas", "churn", "replica_params", "replica_params.alpha_scales",
+         "switch"}
+    )
 
     def prepare(self, topo, config, initial_loads):
-        config.validate()
-        reject_batched_only(config, 'reference')
-        reject_sharded_only(config, 'reference')
-        reject_async_only(config, 'reference')
-        reject_network_only(config, 'reference')
-        if config.precision != "float64":
-            from ..exceptions import ConfigurationError
-
-            raise ConfigurationError(
-                "the reference engine only supports precision='float64'"
-            )
+        check_supported(config, self.name, self.supports)
         loads = as_load_batch(initial_loads, topo.n)
         params = resolve_replica_params(config.replica_params, loads.shape[0])
         loads = apply_load_scales(loads, params)

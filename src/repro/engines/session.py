@@ -51,14 +51,7 @@ from ..core.state import LoadState
 from ..exceptions import ConfigurationError, SimulationError
 from ..io.checkpoint import load_checkpoint, save_checkpoint
 
-from .base import (
-    EngineConfig,
-    make_switch_policy,
-    reject_async_only,
-    reject_batched_only,
-    reject_network_only,
-    reject_sharded_only,
-)
+from .base import EngineConfig, check_supported, make_switch_policy
 from .reference import build_scheme
 
 __all__ = ["EngineSession"]
@@ -97,26 +90,6 @@ class _StreamedArrivals(ArrivalModel):
 def _config_digest(config: EngineConfig) -> str:
     """Stable fingerprint of a config (dataclass repr is deterministic)."""
     return hashlib.sha1(repr(config).encode()).hexdigest()
-
-
-def _reject_session_config(config: EngineConfig) -> None:
-    config.validate()
-    reject_batched_only(config, "session")
-    reject_sharded_only(config, "session")
-    reject_async_only(config, "session")
-    reject_network_only(config, "session")
-    offending = []
-    if config.churn is not None:
-        offending.append(f"churn={config.churn!r}")
-    if config.replica_params is not None:
-        offending.append("replica_params")
-    if config.precision != "float64":
-        offending.append(f"precision={config.precision!r}")
-    if offending:
-        raise ConfigurationError(
-            "engine sessions do not support " + ", ".join(offending)
-            + " (single-replica incremental runs only)"
-        )
 
 
 def _session_arrival_model(config: EngineConfig, replica: int) -> ArrivalModel:
@@ -175,8 +148,13 @@ class EngineSession:
     same ``(topo, config)`` pair, continuing bit for bit.
     """
 
+    name = "session"
+    #: One replica through the reference simulator core: its per-edge
+    #: alphas and switch policies, none of the batch or network knobs.
+    supports = frozenset({"alphas", "switch"})
+
     def __init__(self, topo, config: EngineConfig, replica: int = 0):
-        _reject_session_config(config)
+        check_supported(config, self.name, self.supports)
         if replica < 0:
             raise ConfigurationError(f"replica must be >= 0, got {replica}")
         self.topo = topo

@@ -86,11 +86,12 @@ from .base import (
     EngineConfig,
     RecordBatch,
     as_load_batch,
+    check_supported,
     plan_shards,
     register_engine,
-    reject_async_only,
-    reject_network_only,
+    resolve_arrival_keys,
     resolve_arrival_models,
+    resolve_replica_keys,
     resolve_replica_params,
     resolve_workers,
 )
@@ -160,6 +161,21 @@ class ShardedEngine(Engine):
     """Column shards of a replica batch across worker processes."""
 
     name = "sharded"
+    #: What the worker engine honours, plus the multiprocess plan, minus
+    #: batch-wide arrival sampling (one shared stream cannot split across
+    #: workers bit-identically).  A config is checked against the set of
+    #: the worker engine it routes to (:meth:`worker_supports`); this
+    #: class-level set is the union over both routes.
+    _PLAN = frozenset({"workers", "pool"})
+    supports = (
+        BatchedVectorEngine.supports | StalenessEngine.supports | _PLAN
+    ) - {"arrival_sampling"}
+
+    @classmethod
+    def worker_supports(cls, config: EngineConfig) -> frozenset:
+        """The features a sharded run of ``config`` honours."""
+        worker = StalenessEngine if _wants_staleness(config) else BatchedVectorEngine
+        return (worker.supports | cls._PLAN) - {"arrival_sampling"}
 
     # ------------------------------------------------------------------
     def _refuse_protocol(self, what: str):
@@ -191,13 +207,8 @@ class ShardedEngine(Engine):
         dynamic: bool,
     ) -> List[Tuple[Topology, EngineConfig, np.ndarray, bool]]:
         """Validate the config and slice the batch into shard payloads."""
-        config.validate()
-        if not _wants_staleness(config):
-            # Latency/skew/fault configs route to the staleness engine
-            # worker-side, which accepts exactly these knobs; everything
-            # else runs the batched engine and keeps its guards.
-            reject_async_only(config, "sharded")
-            reject_network_only(config, "sharded")
+        name = "sharded/staleness" if _wants_staleness(config) else "sharded"
+        check_supported(config, name, self.worker_supports(config))
         # Churn shards bit-identically once every worker replays the *same*
         # compiled plan: the random schedule draw happens exactly once, here
         # in the parent (resolve_churn seeds its own stream), and the
@@ -210,47 +221,14 @@ class ShardedEngine(Engine):
         # the churn compatibility matrix) lives in config.validate() and
         # still applies unchanged.
         churn_plan = resolve_churn(topo, config)
-        if churn_plan is not None and _wants_staleness(config):
-            # The staleness engine the latency/skew/fault knobs route to
-            # rejects churn; refuse the combination here so the error names
-            # the engine the caller actually asked for.
-            raise ConfigurationError(
-                "the sharded engine cannot combine churn with latency/"
-                "skew/fault knobs (the bounded-staleness shard path does "
-                "not support mutating topologies)"
-            )
-        if config.arrival_sampling == "batch":
-            raise ConfigurationError(
-                "the sharded engine does not support "
-                "arrival_sampling='batch': the whole batch draws from one "
-                "shared stream, which cannot split across workers "
-                "bit-identically (use the batched engine, or stream "
-                "sampling)"
-            )
         B = loads.shape[0]
-        replica_keys: Sequence[int] = (
-            [int(k) for k in config.replica_keys]
-            if config.replica_keys is not None
-            else range(B)
-        )
-        if len(replica_keys) != B:
-            raise ConfigurationError(
-                f"{len(replica_keys)} replica_keys for {B} replicas"
-            )
+        replica_keys = resolve_replica_keys(config, B)
         params = resolve_replica_params(config.replica_params, B)
         arrival_seeds: Optional[Sequence[int]] = None
         arrival_models: Optional[Sequence] = None
         if config.arrivals is not None:
             arrival_models = resolve_arrival_models(config.arrivals, B)
-            arrival_seeds = (
-                [int(k) for k in config.arrival_seeds]
-                if config.arrival_seeds is not None
-                else range(B)
-            )
-            if len(arrival_seeds) != B:
-                raise ConfigurationError(
-                    f"{len(arrival_seeds)} arrival_seeds for {B} replicas"
-                )
+            arrival_seeds = resolve_arrival_keys(config, B)
         # Shards keep >= 2 columns whenever the batch has >= 2: numpy sums a
         # single-column plane through its contiguous pairwise kernel, whose
         # *fractional* reductions differ at the ulp level from the strided
@@ -265,9 +243,9 @@ class ShardedEngine(Engine):
                 workers=None,  # the worker-side batched engine runs alone
                 pool=None,  # pooling is a parent-side routing decision
                 churn=churn_plan,  # precompiled plan, identical per shard
-                replica_keys=list(replica_keys[lo:hi]),
+                replica_keys=replica_keys[lo:hi],
                 arrival_seeds=(
-                    list(arrival_seeds[lo:hi])
+                    arrival_seeds[lo:hi]
                     if arrival_seeds is not None
                     else None
                 ),

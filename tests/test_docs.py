@@ -5,7 +5,8 @@ Three contracts, all cheap enough for the tier-1 suite:
 * every ``simulate``/``figure`` CLI flag in the argparse spec appears in
   ``docs/user_guide.md`` (new flags must be documented in the same PR);
 * every engine name in the registry appears in ``docs/engines.md`` (and
-  in the user guide's ``--engine`` row);
+  in the user guide's ``--engine`` row), and the capability table there
+  matches every backend's ``supports`` set;
 * the fenced ``bash``/``python`` quickstart blocks in the README parse,
   and the runnable ones execute at tiny scale;
 * every relative markdown link in ``docs/`` and the README resolves to a
@@ -115,6 +116,38 @@ class TestEnginesDocumented:
         assert not missing, (
             f"EngineConfig fields missing from docs/engines.md: {missing}"
         )
+
+    def test_capability_table_matches_supports(self):
+        """Every row of the engines.md capability table lists exactly the
+        backends whose ``supports`` set holds that feature."""
+        from repro.engines import EngineSession
+        from repro.engines.base import FEATURES
+
+        supports = {name: cls.supports for name, cls in ENGINES.items()}
+        supports["session"] = EngineSession.supports
+        rows, header = {}, None
+        for line in _read("docs", "engines.md").splitlines():
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            if line.startswith("| feature |"):
+                header = [c.strip("`") for c in cells[1:]]
+            elif header and line.startswith("| `"):
+                feature = re.match(r"`([\w.]+)`", cells[0]).group(1)
+                rows[feature] = {
+                    backend
+                    for backend, cell in zip(header, cells[1:])
+                    if cell.startswith("yes")
+                }
+            elif header and not line.startswith("|"):
+                break
+        assert header is not None, "engines.md lost its capability table"
+        assert sorted(header) == sorted(supports)
+        assert set(rows) == set(FEATURES)
+        for feature, backends in rows.items():
+            want = {b for b, s in supports.items() if feature in s}
+            assert backends == want, (
+                f"capability row {feature!r} in docs/engines.md says "
+                f"{sorted(backends)}, the supports sets say {sorted(want)}"
+            )
 
 
 FENCE = re.compile(r"```(\w+)\n(.*?)```", re.DOTALL)
